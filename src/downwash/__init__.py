@@ -6,54 +6,4 @@ aggregation models: a naive grid-lookup sum, a learnt linear sum and a
 permutation-invariant deep-set network.
 """
 
-from .core import (
-    FormationSnapshot,
-    RelativeState,
-    VehicleState,
-    Wrench6,
-    WRENCH_AXES,
-    relative_state,
-)
-from .dataset import Dataset, Record, load_dataset, save_dataset
-from .field import (
-    AdditiveOracle,
-    DownwashParams,
-    MergeParams,
-    MergingOracle,
-    NoiseParams,
-    add_noise,
-    aggregate_additive,
-    aggregate_merging,
-    make_oracle,
-    single_vehicle_wrench,
-)
-from .formations import (
-    Formation,
-    FormationKind,
-    SweepConfig,
-    formation_offsets,
-    generate_sweep,
-    grid_slice,
-    snapshot_at,
-)
-from .mlp import Adam, Mlp, mlp_gradients
-from .models import (
-    DeepSetModel,
-    GridLookupModel,
-    LinearAggModel,
-    fit_grid,
-    load_model,
-    save_model,
-    snapshot_features,
-)
-from .training import TrainConfig, TrainingDivergence, train
-from .evaluate import (
-    EvalReport,
-    benchmark,
-    contour_grid,
-    count_peaks,
-    integrated_plane_error,
-    slice_profile,
-)
-
 __version__ = "0.1.0"

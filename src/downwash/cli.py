@@ -6,29 +6,31 @@
     downwash report --config cfg.yaml ...
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric
-divergence during training.
+divergence during training, 5 malformed dataset or model file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
-from .dataset import load_dataset, save_dataset
+from .dataset import FormatError, load_dataset, save_dataset
 from .evaluate import benchmark, contour_grid, contour_to_csv, slice_profile
 from .field import NoiseParams, make_oracle
 from .formations import generate_sweep
 from .models import DeepSetModel, LinearAggModel, fit_grid, load_model, save_model
 from .rng import stream, substream_seed
-from .training import TrainConfig, TrainingDivergence, train
+from .training import TrainingDivergence, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
+EXIT_FORMAT = 5
 
 MODEL_NAMES = ("naive_linear", "learnt_linear", "learnt_nonlinear")
 
@@ -101,7 +103,7 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     lateral, vertical, n_planes = _grid_geometry(fit_spec.sweep)
     grid = fit_grid(
         _load(cfg.naive.fit_on),
-        resolution=(*cfg.naive.lateral_resolution, n_planes),
+        resolution=(*cfg.naive.resolution, n_planes),
         lateral_bounds=lateral,
         vertical_bounds=vertical,
     )
@@ -122,16 +124,7 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
                 decoder_hidden=settings.decoder_hidden,
             )
         data = [_load(ds) for ds in settings.train_on]
-        tcfg = TrainConfig(
-            learning_rate=cfg.training.learning_rate,
-            beta1=cfg.training.beta1,
-            beta2=cfg.training.beta2,
-            epsilon=cfg.training.epsilon,
-            batch_size=cfg.training.batch_size,
-            epochs=cfg.training.epochs,
-            seed=substream_seed(cfg.seed, f"train:{name}"),
-            sigma_floor=cfg.training.sigma_floor,
-        )
+        tcfg = dataclasses.replace(cfg.training, seed=substream_seed(cfg.seed, f"train:{name}"))
         history, _ = train(model, data, tcfg)
         model.metadata["trained_on"] = list(settings.train_on)
         path = _model_path(cfg, name)
@@ -273,6 +266,9 @@ def main(argv=None) -> int:
     except TrainingDivergence as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except FormatError as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

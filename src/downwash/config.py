@@ -1,28 +1,36 @@
 """Run configuration: one YAML file, strictly validated, plus dotted overrides.
 
-Unknown keys are rejected with the offending path in the message so typos
-cannot silently change an experiment.  All randomness derives from the one
-global seed through named substreams (dataset:<name>, init:<model>,
-train:<model>).
+The schema is the dataclass fields.  Each YAML section is built by
+:func:`build` from the fields and annotations of one dataclass
+(``DownwashParams``, ``MergeParams``, ``NoiseParams``, ``SweepConfig``,
+``TrainConfig``, ``Formation`` and the settings classes below): keys are the
+field names, defaults are the field defaults, and range checks live in each
+class's ``__post_init__``.  Unknown keys are rejected with the offending path
+in the message so typos cannot silently change an experiment.  All
+randomness derives from the one global seed through named substreams
+(dataset:<name>, init:<model>, train:<model>).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import enum
+import typing
+from dataclasses import MISSING, dataclass
 from pathlib import Path
+from typing import Literal
 
 import yaml
 
-from .field import DownwashParams, MergeParams
-from .formations import Formation, FormationKind, SweepConfig
+from .field import DownwashParams, MergeParams, NoiseParams
+from .formations import Formation, SweepConfig
 from .training import TrainConfig
+
+Oracle = Literal["additive", "merging"]
 
 
 class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
-
-
-_MISSING = object()
 
 
 def _mapping(obj, path: str) -> dict:
@@ -33,97 +41,119 @@ def _mapping(obj, path: str) -> dict:
     return dict(obj)
 
 
-def _take(section: dict, path: str, key: str, default=_MISSING):
-    if key in section:
-        return section.pop(key)
-    if default is _MISSING:
-        raise ConfigError(f"{path}.{key}: required key missing")
-    return default
+def _list(obj, path: str) -> list:
+    if not isinstance(obj, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {obj!r}")
+    return list(obj)
 
 
-def _no_leftovers(section: dict, path: str) -> None:
+def _value(tp, value, path: str, base: dict | None = None):
+    """``value`` checked against the annotation ``tp`` and converted to it;
+    ``base`` is passed on to :func:`build` for dataclass values."""
+    if typing.get_origin(tp) is tuple:
+        items = _list(value, path)
+        if not items:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        item = typing.get_args(tp)[0]
+        return tuple(_value(item, v, f"{path}[{i}]", base) for i, v in enumerate(items))
+    if typing.get_origin(tp) is Literal or isinstance(tp, enum.EnumMeta):
+        choices = typing.get_args(tp) or [member.value for member in tp]
+        if value not in choices:
+            raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
+        return tp(value) if isinstance(tp, enum.EnumMeta) else value
+    if dataclasses.is_dataclass(tp):
+        return build(tp, value, path, base)
+    if tp is float and type(value) is int:
+        return float(value)
+    if tp is Path and isinstance(value, str):
+        return Path(value)
+    if type(value) is not tp:
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def build(cls, mapping, path: str, base: dict | None = None, skip=()):
+    """Instantiate the dataclass ``cls`` from the YAML ``mapping`` at ``path``.
+
+    Each key names a field and its value is checked against the field's
+    annotation.  A missing key takes its value from ``base``, then from the
+    field default; with neither it is an error.  Fields named in ``skip`` are
+    not read from YAML, so their keys count as unknown.  A ``ValueError`` from
+    ``cls.__post_init__`` becomes a ``ConfigError`` at ``path``; a message of
+    the form ``"<field>: ..."`` is reported at ``path.<field>``.
+    """
+    section = _mapping(mapping, path)
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(base or {})
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        if f.name in section:
+            kwargs[f.name] = _value(hints[f.name], section.pop(f.name), f"{path}.{f.name}")
+        elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required key missing")
     if section:
         raise ConfigError(f"{path}: unknown key(s) {sorted(section)}")
-
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _number_list(value, path: str) -> list:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _int_list(value, path: str) -> list:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of integers")
-    return [_integer(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
-def _kind(value, path: str) -> FormationKind:
     try:
-        return FormationKind(_string(value, path))
-    except ValueError:
-        names = [k.value for k in FormationKind]
-        raise ConfigError(f"{path}: unknown formation kind {value!r}, expected one of {names}")
-
-
-def _oracle(value, path: str) -> str:
-    name = _string(value, path)
-    if name not in ("additive", "merging"):
-        raise ConfigError(f"{path}: oracle must be 'additive' or 'merging', got {name!r}")
-    return name
+        return cls(**kwargs)
+    except ValueError as exc:
+        sep = "." if str(exc).split(":")[0] in kwargs else ": "
+        raise ConfigError(f"{path}{sep}{exc}") from None
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     name: str
     formation: Formation
-    oracle: str
     sweep: SweepConfig
+    oracle: Oracle = "merging"
 
 
 @dataclass(frozen=True)
 class NaiveSettings:
-    fit_on: str
-    lateral_resolution: tuple = (36, 50)
+    fit_on: str = "single_k1"
+    resolution: tuple[int, ...] = (36, 50)   # lateral (n, e) cells
+
+    def __post_init__(self):
+        if len(self.resolution) != 2:
+            raise ValueError("resolution: expected [n_cells, e_cells]")
 
 
 @dataclass(frozen=True)
-class NetSettings:
-    train_on: tuple
-    hidden: tuple = (64, 64)          # psi hidden sizes (linear model)
-    embed_dim: int = 64               # deep set only
-    phi_hidden: tuple = (64, 64)
-    decoder_hidden: tuple = (64,)
+class LinearSettings:
+    train_on: tuple[str, ...] = ("single_k1",)
+    hidden: tuple[int, ...] = (64, 64)       # psi hidden sizes
+
+
+@dataclass(frozen=True)
+class DeepSetSettings:
+    train_on: tuple[str, ...] = ("leader_follower_k3",)
+    embed_dim: int = 64
+    phi_hidden: tuple[int, ...] = (64, 64)
+    decoder_hidden: tuple[int, ...] = (64,)
 
 
 @dataclass(frozen=True)
 class EvalSettings:
-    formations: tuple
-    oracle: str = "merging"
-    altitudes: tuple = (1.3,)
+    formations: tuple[Formation, ...]
+    oracle: Oracle = "merging"
+    altitudes: tuple[float, ...] = (1.3,)
     extent: float = 2.0
     resolution: int = 64
-    slice_axis: str = "e"
+    slice_axis: Literal["n", "e"] = "e"
     slice_resolution: int = 201
     contour_resolution: int = 64
+
+    def __post_init__(self):
+        if min(self.altitudes) <= 0:
+            raise ValueError("altitudes: must be > 0")
+        if self.extent <= 0:
+            raise ValueError("extent: must be > 0")
+        if self.resolution < 8:
+            raise ValueError("resolution: must be >= 8")
+        for name in ("slice_resolution", "contour_resolution"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name}: must be >= 2")
 
 
 @dataclass
@@ -138,10 +168,9 @@ class RunConfig:
     datasets: list
     training: TrainConfig
     naive: NaiveSettings
-    linear: NetSettings
-    deepset: NetSettings
+    linear: LinearSettings
+    deepset: DeepSetSettings
     evaluation: EvalSettings
-    echo: dict = field(default_factory=dict)
 
     def dataset_spec(self, name: str) -> DatasetSpec:
         for spec in self.datasets:
@@ -150,215 +179,64 @@ class RunConfig:
         raise ConfigError(f"no dataset named {name!r} is configured")
 
 
-def _parse_sweep(section: dict, path: str, base: SweepConfig | None = None) -> SweepConfig:
-    base = base or SweepConfig()
-    kwargs = {
-        "lateral_extent": base.lateral_extent,
-        "vertical_extent": base.vertical_extent,
-        "speed": base.speed,
-        "legs": base.legs,
-        "samples_per_leg": base.samples_per_leg,
-        "spacing": base.spacing,
-        "altitudes": base.altitudes,
-    }
-    for key in ("lateral_extent", "vertical_extent", "speed", "spacing"):
-        if key in section:
-            kwargs[key] = _number(section.pop(key), f"{path}.{key}")
-    for key in ("legs", "samples_per_leg"):
-        if key in section:
-            kwargs[key] = _integer(section.pop(key), f"{path}.{key}")
-    if "altitudes" in section:
-        kwargs["altitudes"] = tuple(_number_list(section.pop("altitudes"), f"{path}.altitudes"))
-    try:
-        return SweepConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-
-
-def _parse_formation(section: dict, path: str, default_spacing: float) -> Formation:
-    kind = _kind(_take(section, path, "kind"), f"{path}.kind")
-    k = _integer(_take(section, path, "k"), f"{path}.k")
-    spacing = _number(_take(section, path, "spacing", default_spacing), f"{path}.spacing")
-    try:
-        formation = Formation(kind, k, spacing)
-        formation.offsets()  # validates kind/k combination
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    return formation
+def _dataset(entry, path: str, sweep: SweepConfig) -> DatasetSpec:
+    """One flat dataset entry: name, oracle, formation keys, sweep overrides."""
+    section = _mapping(entry, path)
+    spec = {key: section.pop(key) for key in ("name", "oracle") if key in section}
+    formation = {key: section.pop(key) for key in ("kind", "k", "spacing") if key in section}
+    return build(
+        DatasetSpec,
+        spec,
+        path,
+        {
+            "formation": build(Formation, formation, path, {"spacing": sweep.spacing}),
+            "sweep": build(SweepConfig, section, path, vars(sweep)),
+        },
+    )
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed YAML document into a RunConfig."""
     root = _mapping(doc, "config")
-    echo = yaml.safe_load(yaml.safe_dump(root))  # deep copy for report echoing
+    sweep = build(SweepConfig, root.pop("sweep", None), "sweep")
+    noise = build(NoiseParams, root.pop("noise", None), "noise", skip=("seed",))
 
-    seed = _integer(_take(root, "config", "seed", 0), "seed")
-    output_dir = Path(_string(_take(root, "config", "output_dir", "runs/out"), "output_dir"))
-
-    fsec = _mapping(_take(root, "config", "field", {}), "field")
-    fkw = {}
-    for key in (
-        "peak_force",
-        "core_radius",
-        "expansion_rate",
-        "vertical_decay_length",
-        "torque_gain",
-        "lateral_gain",
-    ):
-        if key in fsec:
-            fkw[key] = _number(fsec.pop(key), f"field.{key}")
-    _no_leftovers(fsec, "field")
-    try:
-        field_params = DownwashParams(**fkw)
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}")
-
-    msec = _mapping(_take(root, "config", "merge", {}), "merge")
-    mkw = {}
-    for key in ("merge_radius", "contraction_rate", "advect_gain"):
-        if key in msec:
-            mkw[key] = _number(msec.pop(key), f"merge.{key}")
-    _no_leftovers(msec, "merge")
-    try:
-        merge_params = MergeParams(**mkw)
-    except ValueError as exc:
-        raise ConfigError(f"merge: {exc}")
-
-    nsec = _mapping(_take(root, "config", "noise", {}), "noise")
-    sigma_force = _number(_take(nsec, "noise", "sigma_force", 0.025), "noise.sigma_force")
-    sigma_torque = _number(_take(nsec, "noise", "sigma_torque", 0.005), "noise.sigma_torque")
-    _no_leftovers(nsec, "noise")
-    if sigma_force < 0 or sigma_torque < 0:
-        raise ConfigError("noise: sigmas must be >= 0")
-
-    swsec = _mapping(_take(root, "config", "sweep", {}), "sweep")
-    sweep = _parse_sweep(swsec, "sweep")
-    _no_leftovers(swsec, "sweep")
-
-    dsecs = _take(root, "config", "datasets", [])
-    if not isinstance(dsecs, list):
-        raise ConfigError("datasets: expected a list")
     datasets = []
-    seen = set()
-    for i, entry in enumerate(dsecs):
-        path = f"datasets[{i}]"
-        sec = _mapping(entry, path)
-        name = _string(_take(sec, path, "name"), f"{path}.name")
-        if name in seen:
-            raise ConfigError(f"{path}.name: duplicate dataset name {name!r}")
-        seen.add(name)
-        oracle = _oracle(_take(sec, path, "oracle", "merging"), f"{path}.oracle")
-        formation = _parse_formation(
-            {"kind": _take(sec, path, "kind"), "k": _take(sec, path, "k"),
-             **({"spacing": sec.pop("spacing")} if "spacing" in sec else {})},
-            path,
-            sweep.spacing,
-        )
-        ds_sweep = _parse_sweep(sec, path, base=sweep)
-        _no_leftovers(sec, path)
-        datasets.append(DatasetSpec(name=name, formation=formation, oracle=oracle, sweep=ds_sweep))
+    for i, entry in enumerate(_list(root.pop("datasets", []), "datasets")):
+        spec = _dataset(entry, f"datasets[{i}]", sweep)
+        if spec.name in [d.name for d in datasets]:
+            raise ConfigError(f"datasets[{i}].name: duplicate dataset name {spec.name!r}")
+        datasets.append(spec)
 
-    tsec = _mapping(_take(root, "config", "training", {}), "training")
-    tkw = {}
-    for key in ("learning_rate", "beta1", "beta2", "epsilon", "sigma_floor"):
-        if key in tsec:
-            tkw[key] = _number(tsec.pop(key), f"training.{key}")
-    for key in ("batch_size", "epochs"):
-        if key in tsec:
-            tkw[key] = _integer(tsec.pop(key), f"training.{key}")
-    _no_leftovers(tsec, "training")
-    try:
-        training = TrainConfig(**tkw)
-    except ValueError as exc:
-        raise ConfigError(f"training: {exc}")
-
-    modsec = _mapping(_take(root, "config", "models", {}), "models")
-
-    nasec = _mapping(_take(modsec, "models", "naive", {}), "models.naive")
-    naive = NaiveSettings(
-        fit_on=_string(_take(nasec, "models.naive", "fit_on", "single_k1"), "models.naive.fit_on"),
-        lateral_resolution=tuple(
-            _int_list(_take(nasec, "models.naive", "resolution", [36, 50]), "models.naive.resolution")
-        ),
+    models = _mapping(root.pop("models", None), "models")
+    evaluation = _mapping(root.pop("eval", None), "eval")
+    formations = _value(
+        tuple[Formation, ...],
+        evaluation.pop("formations", [{"kind": "leader_follower", "k": 3}]),
+        "eval.formations",
+        {"spacing": sweep.spacing},
     )
-    if len(naive.lateral_resolution) != 2:
-        raise ConfigError("models.naive.resolution: expected [n_cells, e_cells]")
-    _no_leftovers(nasec, "models.naive")
 
-    lsec = _mapping(_take(modsec, "models", "linear", {}), "models.linear")
-    linear = NetSettings(
-        train_on=tuple(
-            _string(v, f"models.linear.train_on[{i}]")
-            for i, v in enumerate(_take(lsec, "models.linear", "train_on", ["single_k1"]))
-        ),
-        hidden=tuple(_int_list(_take(lsec, "models.linear", "hidden", [64, 64]), "models.linear.hidden")),
-    )
-    _no_leftovers(lsec, "models.linear")
-
-    dsec = _mapping(_take(modsec, "models", "deepset", {}), "models.deepset")
-    deepset = NetSettings(
-        train_on=tuple(
-            _string(v, f"models.deepset.train_on[{i}]")
-            for i, v in enumerate(_take(dsec, "models.deepset", "train_on", ["leader_follower_k3"]))
-        ),
-        embed_dim=_integer(_take(dsec, "models.deepset", "embed_dim", 64), "models.deepset.embed_dim"),
-        phi_hidden=tuple(
-            _int_list(_take(dsec, "models.deepset", "phi_hidden", [64, 64]), "models.deepset.phi_hidden")
-        ),
-        decoder_hidden=tuple(
-            _int_list(
-                _take(dsec, "models.deepset", "decoder_hidden", [64]), "models.deepset.decoder_hidden"
-            )
-        ),
-    )
-    _no_leftovers(dsec, "models.deepset")
-    _no_leftovers(modsec, "models")
-
-    esec = _mapping(_take(root, "config", "eval", {}), "eval")
-    eforms = _take(esec, "eval", "formations", [{"kind": "leader_follower", "k": 3}])
-    if not isinstance(eforms, list) or not eforms:
-        raise ConfigError("eval.formations: expected a non-empty list")
-    formations = tuple(
-        _parse_formation(_mapping(entry, f"eval.formations[{i}]"), f"eval.formations[{i}]", sweep.spacing)
-        for i, entry in enumerate(eforms)
-    )
-    evaluation = EvalSettings(
-        formations=formations,
-        oracle=_oracle(_take(esec, "eval", "oracle", "merging"), "eval.oracle"),
-        altitudes=tuple(_number_list(_take(esec, "eval", "altitudes", [1.3]), "eval.altitudes")),
-        extent=_number(_take(esec, "eval", "extent", 2.0), "eval.extent"),
-        resolution=_integer(_take(esec, "eval", "resolution", 64), "eval.resolution"),
-        slice_axis=_string(_take(esec, "eval", "slice_axis", "e"), "eval.slice_axis"),
-        slice_resolution=_integer(
-            _take(esec, "eval", "slice_resolution", 201), "eval.slice_resolution"
-        ),
-        contour_resolution=_integer(
-            _take(esec, "eval", "contour_resolution", 64), "eval.contour_resolution"
-        ),
-    )
-    if evaluation.slice_axis not in ("n", "e"):
-        raise ConfigError("eval.slice_axis: must be 'n' or 'e'")
-    if evaluation.resolution < 8:
-        raise ConfigError("eval.resolution: must be >= 8")
-    _no_leftovers(esec, "eval")
-
-    _no_leftovers(root, "config")
-    return RunConfig(
-        seed=seed,
-        output_dir=output_dir,
-        field_params=field_params,
-        merge_params=merge_params,
-        sigma_force=sigma_force,
-        sigma_torque=sigma_torque,
+    cfg = RunConfig(
+        seed=_value(int, root.pop("seed", 0), "seed"),
+        output_dir=_value(Path, root.pop("output_dir", "runs/out"), "output_dir"),
+        field_params=build(DownwashParams, root.pop("field", None), "field"),
+        merge_params=build(MergeParams, root.pop("merge", None), "merge"),
+        sigma_force=noise.sigma_force,
+        sigma_torque=noise.sigma_torque,
         sweep=sweep,
         datasets=datasets,
-        training=training,
-        naive=naive,
-        linear=linear,
-        deepset=deepset,
-        evaluation=evaluation,
-        echo=echo,
+        # cmd_train derives each model's seed from the global one.
+        training=build(TrainConfig, root.pop("training", None), "training", skip=("seed",)),
+        naive=build(NaiveSettings, models.pop("naive", None), "models.naive"),
+        linear=build(LinearSettings, models.pop("linear", None), "models.linear"),
+        deepset=build(DeepSetSettings, models.pop("deepset", None), "models.deepset"),
+        evaluation=build(EvalSettings, evaluation, "eval", {"formations": formations}),
     )
+    for section, path in ((models, "models"), (root, "config")):
+        if section:
+            raise ConfigError(f"{path}: unknown key(s) {sorted(section)}")
+    return cfg
 
 
 def apply_override(doc: dict, assignment: str) -> None:

@@ -79,46 +79,12 @@ class Wrench6:
     def zero(cls) -> "Wrench6":
         return cls(np.zeros(6))
 
-    @classmethod
-    def from_components(cls, f_n=0.0, f_e=0.0, f_d=0.0, t_pitch=0.0, t_roll=0.0, t_yaw=0.0) -> "Wrench6":
-        return cls(np.array([f_n, f_e, f_d, t_pitch, t_roll, t_yaw], dtype=float))
-
-    @property
-    def f_n(self) -> float:
-        return float(self.vec[0])
-
-    @property
-    def f_e(self) -> float:
-        return float(self.vec[1])
-
     @property
     def f_d(self) -> float:
         return float(self.vec[2])
 
-    @property
-    def t_pitch(self) -> float:
-        return float(self.vec[3])
-
-    @property
-    def t_roll(self) -> float:
-        return float(self.vec[4])
-
-    @property
-    def t_yaw(self) -> float:
-        return float(self.vec[5])
-
     def __add__(self, other: "Wrench6") -> "Wrench6":
         return Wrench6(self.vec + other.vec)
-
-    def __sub__(self, other: "Wrench6") -> "Wrench6":
-        return Wrench6(self.vec - other.vec)
-
-    def scale(self, s: float) -> "Wrench6":
-        return Wrench6(self.vec * s)
-
-    def abs_components(self) -> np.ndarray:
-        """Componentwise absolute values as a 6-vector (error accumulation)."""
-        return np.abs(self.vec)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ _STATE_FIELDS = ("pos_n", "pos_e", "pos_d", "vel_n", "vel_e", "vel_d", "yaw")
 _WRENCH_FIELDS = ("f_n", "f_e", "f_d", "t_pitch", "t_roll", "t_yaw")
 
 
+class FormatError(ValueError):
+    """A dataset or model file whose content does not match its format."""
+
+
 class Record(NamedTuple):
     time: float
     snapshot: FormationSnapshot
@@ -112,25 +116,39 @@ def load_dataset(csv_path) -> Dataset:
     side = sidecar_path(csv_path)
     if side.exists():
         with open(side, encoding="utf-8") as fh:
-            metadata = json.load(fh)["metadata"]
+            try:
+                metadata = json.load(fh)["metadata"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{side}: {exc}") from None
     else:
         metadata = {}
     records = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    # A bad byte decodes to U+FFFD, which no numeric cell parses, so it is
+    # reported by row below instead of escaping as a UnicodeDecodeError.
+    with open(csv_path, newline="", encoding="utf-8", errors="replace") as fh:
         rows = (line for line in fh if not line.startswith("#"))
         reader = csv.reader(rows)
-        header = next(reader)
+        header = next(reader, [])
+        if "k" not in header:
+            raise FormatError(f"{csv_path}: no column header with a 'k' column")
         k_index = header.index("k")
-        for cells in reader:
-            time = float(cells[0])
-            sufferer = _parse_state(cells[1:8])
-            k = int(cells[k_index])
-            pos = k_index + 1
-            neighbours = []
-            for _ in range(k):
-                neighbours.append(_parse_state(cells[pos : pos + 7]))
-                pos += 7
-            truth = Wrench6(np.array([float(c) for c in cells[pos : pos + 6]]))
-            measured = Wrench6(np.array([float(c) for c in cells[pos + 6 : pos + 12]]))
-            records.append(Record(time, FormationSnapshot(sufferer, tuple(neighbours)), truth, measured))
+        k_header = (len(header) - len(_columns(0))) / 7
+        for row, cells in enumerate(reader, start=1):
+            try:
+                k = int(cells[k_index])
+                if k != k_header or len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells for k={k}, header has {len(header)}")
+                time = float(cells[0])
+                sufferer = _parse_state(cells[1:8])
+                pos = k_index + 1
+                neighbours = []
+                for _ in range(k):
+                    neighbours.append(_parse_state(cells[pos : pos + 7]))
+                    pos += 7
+                truth = Wrench6(np.array([float(c) for c in cells[pos : pos + 6]]))
+                measured = Wrench6(np.array([float(c) for c in cells[pos + 6 : pos + 12]]))
+                snapshot = FormationSnapshot(sufferer, tuple(neighbours))
+            except (IndexError, ValueError) as exc:
+                raise FormatError(f"{csv_path}: data row {row}: {exc}") from None
+            records.append(Record(time, snapshot, truth, measured))
     return Dataset(records=records, metadata=metadata)

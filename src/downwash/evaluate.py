@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
-from .core import WRENCH_AXES, Wrench6
+from .core import WRENCH_AXES
 from .formations import Formation, snapshot_at
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
@@ -114,6 +113,8 @@ def slice_profile(
 
 def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
     """Number of local maxima with prominence above a fraction of the range."""
+    from scipy import signal  # imported here: it pulls in scipy.stats, which no CLI stage needs
+
     values = np.asarray(values, dtype=float)
     spread = float(values.max() - values.min())
     if spread <= 0.0:
@@ -141,12 +142,6 @@ def contour_grid(
             snap = snapshot_at(formation, float(n), float(e), altitude, speed)
             values[i, j] = predictor(snap).f_d
     return axis, axis.copy(), values
-
-
-def support_fraction_count(values: np.ndarray, frac: float = 0.5) -> int:
-    """Grid cells at or above ``frac`` of the grid maximum."""
-    values = np.asarray(values)
-    return int(np.count_nonzero(values >= frac * values.max()))
 
 
 def contour_to_csv(n_axis, e_axis, values, path) -> None:
@@ -261,8 +256,3 @@ def benchmark(
                 report.add(formation, altitude, name, errors)
     report.mark_winners()
     return report
-
-
-def zero_predictor(_snap) -> Wrench6:
-    """Baseline that always predicts the zero wrench."""
-    return Wrench6.zero()

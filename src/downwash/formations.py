@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FormationSnapshot, VehicleState, Wrench6
+from .core import FormationSnapshot, VehicleState
 from .dataset import Dataset, Record
 from .field import DownwashParams, MergeParams, NoiseParams, add_noise, make_oracle
 
@@ -34,6 +34,9 @@ class Formation:
     kind: FormationKind
     k: int
     spacing: float = 0.5
+
+    def __post_init__(self):
+        formation_offsets(self.kind, self.k, self.spacing)  # validates kind, k and spacing
 
     def offsets(self) -> np.ndarray:
         return formation_offsets(self.kind, self.k, self.spacing)
@@ -56,7 +59,7 @@ class SweepConfig:
     legs: int = 36
     samples_per_leg: int = 200
     spacing: float = 0.5
-    altitudes: tuple = (0.3, 0.8, 1.3)
+    altitudes: tuple[float, ...] = (0.3, 0.8, 1.3)
 
     def __post_init__(self):
         object.__setattr__(self, "altitudes", tuple(float(a) for a in self.altitudes))
@@ -187,29 +190,3 @@ def generate_sweep(
     }
     return Dataset(records=records, metadata=metadata)
 
-
-def grid_slice(
-    formation: Formation,
-    altitude: float,
-    extent: float,
-    resolution: int,
-    oracle_kind: str,
-    params: DownwashParams,
-    merge: MergeParams | None = None,
-    speed: float = 0.5,
-) -> list:
-    """Noiseless oracle evaluation on a uniform lateral grid of centroid positions.
-
-    Returns [(centroid (n, e), Wrench6), ...] in n-major order; the grid
-    includes the extent corners (``resolution`` points per axis, >= 2).
-    """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    oracle = make_oracle(oracle_kind, params, merge)
-    axis = np.linspace(-extent / 2.0, extent / 2.0, resolution)
-    out = []
-    for n in axis:
-        for e in axis:
-            snap = snapshot_at(formation, float(n), float(e), altitude, speed)
-            out.append(((float(n), float(e)), oracle(snap)))
-    return out

@@ -102,16 +102,6 @@ class Mlp:
             out.append(b)
         return out
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(p)) for p in self.parameters())
-
-    def copy(self) -> "Mlp":
-        return Mlp(
-            self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def weighted_mse(pred: np.ndarray, target: np.ndarray, axis_weights: np.ndarray):
     """Mean over samples and axes of ``w_a * (pred - target)^2``.
@@ -125,23 +115,6 @@ def weighted_mse(pred: np.ndarray, target: np.ndarray, axis_weights: np.ndarray)
     loss = float(np.sum(axis_weights * diff * diff) / n)
     dpred = 2.0 * axis_weights * diff / n
     return loss, dpred
-
-
-def mlp_gradients(net: Mlp, inputs: np.ndarray, targets: np.ndarray, axis_weights=None):
-    """Loss and exact parameter gradients of the weighted MSE on a batch.
-
-    ``axis_weights`` defaults to ones.  Returns (loss, weight grads, bias grads).
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if len(inputs) == 0:
-        raise ValueError("batch must be non-empty")
-    if axis_weights is None:
-        axis_weights = np.ones(net.d_out)
-    pred, cache = net.forward_cached(inputs)
-    loss, dpred = weighted_mse(pred, targets, np.asarray(axis_weights, dtype=float))
-    grads_w, grads_b, _ = net.backward(cache, dpred)
-    return loss, grads_w, grads_b
 
 
 class Adam:

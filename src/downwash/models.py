@@ -17,10 +17,9 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .core import FormationSnapshot, Wrench6
-from .dataset import Dataset
+from .dataset import Dataset, FormatError
 from .mlp import Mlp
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
@@ -107,9 +106,6 @@ class GridLookupModel:
             if not (hi > lo and n >= 1):
                 raise ValueError("bounds must be increasing with >= 1 cell per axis")
         self.metadata = metadata or {}
-
-    def cell_sizes(self) -> list:
-        return [(hi - lo) / n for (lo, hi), n in zip(self.bounds, self.values.shape[:3])]
 
     def query(self, dpos) -> np.ndarray:
         """Interpolated 6-vector at one relative position; zeros outside bounds."""
@@ -202,6 +198,8 @@ def fit_grid(
     if not filled.all():
         if not filled.any():
             raise ValueError("no samples fall inside the grid bounds")
+        from scipy import ndimage  # imported here: only grid fitting needs it
+
         cell = [(hi - lo) / n for (lo, hi), n in zip(bounds, shape)]
         _, nearest = ndimage.distance_transform_edt(~filled, sampling=cell, return_indices=True)
         values = values[nearest[0], nearest[1], nearest[2]]
@@ -240,11 +238,18 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a model file written by :func:`save_model`."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _model_from_doc(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+
+def _model_from_doc(doc: dict):
     if doc.get("format") != "downwash-model":
-        raise ValueError(f"{path} is not a downwash model file")
+        raise ValueError("not a downwash model file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')}")
     kind = doc.get("kind")

@@ -85,7 +85,6 @@ def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     batch = [random_snapshot(rng, 3) for _ in range(4)]
-    feats = np.stack([np.sort(rng.permutation(len(batch)))[:0]] or [])  # placeholder, built below
     worst = 0.0
     checked = 0
     for model in (LinearAggModel.initialised(stream(11)), DeepSetModel.initialised(stream(12))):

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from downwash.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from downwash.models import load_model
+import downwash
+from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
+from downwash.models import LinearAggModel, load_model, save_model
+from downwash.rng import stream
 
 MINI_CFG = """
 seed: 21
@@ -151,3 +156,50 @@ def test_missing_models_reported_clearly(tmp_path, capsys):
 def test_bad_override_exit_code(tmp_path):
     cfg = _cfg(tmp_path)
     assert main(["gen", "--config", str(cfg), "--set", "nonsense"]) == EXIT_CONFIG
+
+
+def _cut_last_row(path, keep_cells):
+    """Truncate the file a few characters into cell ``keep_cells`` of its last row."""
+    head, last = path.read_text(encoding="utf-8").rstrip("\n").rsplit("\n", 1)
+    cells = last.split(",")
+    path.write_text(head + "\n" + ",".join(cells[:keep_cells] + [cells[keep_cells][:3]]), encoding="utf-8")
+
+
+# single_k1 rows: time, 7 sufferer cells, k, 7 neighbour cells, 6 truth and 6 measured cells.
+@pytest.mark.parametrize("keep_cells", [11, 24], ids=["inside_state", "inside_wrench"])
+def test_truncated_dataset_is_format_error(tmp_path, capsys, keep_cells):
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg)]) == EXIT_OK
+    path = tmp_path / "run" / "datasets" / "single_k1.csv"
+    _cut_last_row(path, keep_cells)
+    assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
+    assert str(path) in capsys.readouterr().err
+
+
+def test_truncated_model_is_format_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    path = tmp_path / "models" / "naive_linear.json"
+    save_model(LinearAggModel.initialised(stream(0)), path)
+    path.write_bytes(path.read_bytes()[:200])
+    assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_FORMAT
+    assert str(path) in capsys.readouterr().err
+
+
+def test_zero_contour_resolution_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    assert main(["report", "--config", str(cfg), "--set", "eval.contour_resolution=0"]) == EXIT_CONFIG
+    assert "eval.contour_resolution" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, downwash.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(downwash.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "[]"

@@ -103,3 +103,73 @@ def test_seed_and_out_shorthand(tmp_path):
 def test_yaml_syntax_error_wrapped(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "seed: [unclosed"))
+
+
+def _config_error(override):
+    """The ConfigError message for MINIMAL with one override applied."""
+    doc = yaml.safe_load(MINIMAL)
+    apply_override(doc, override)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("field.peak_force=strong", "field.peak_force"),
+        ("merge.merge_radius=[0.6]", "merge.merge_radius"),
+        ("noise.sigma_force=low", "noise.sigma_force"),
+        ("sweep.altitudes=[0.3, high]", "sweep.altitudes[1]"),
+        ("datasets=[{name: a, kind: stack, k: two}]", "datasets[0].k"),
+        ("datasets=[{name: a, kind: stack, k: 2, legs: 1.5}]", "datasets[0].legs"),
+        ("training.batch_size=64.0", "training.batch_size"),
+        ("models.naive.fit_on=3", "models.naive.fit_on"),
+        ("models.linear.hidden=[64, wide]", "models.linear.hidden[1]"),
+        ("models.deepset.embed_dim=wide", "models.deepset.embed_dim"),
+        ("eval.extent=far", "eval.extent"),
+        ("eval.formations=[{kind: stack, k: two}]", "eval.formations[0].k"),
+    ],
+)
+def test_wrong_types_name_their_path(override, path):
+    assert _config_error(override).startswith(path + ":")
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("seed=true", "seed"),
+        ("training.epochs=true", "training.epochs"),
+        ("field.peak_force=true", "field.peak_force"),
+        ("eval.altitudes=[true]", "eval.altitudes[0]"),
+        ("datasets=[{name: a, kind: stack, k: true}]", "datasets[0].k"),
+    ],
+)
+def test_booleans_are_not_numbers(override, path):
+    assert _config_error(override).startswith(path + ":")
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("training.seed=3", "training"),
+        ("models.linear.embed_dim=8", "models.linear"),
+        ("eval.formations=[{kind: stack, k: 2, typo: 1}]", "eval.formations[0]"),
+    ],
+)
+def test_keys_outside_the_schema_rejected(override, path):
+    assert _config_error(override).startswith(path + ": unknown key")
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("eval.altitudes=[1.3, 0.0]", "eval.altitudes"),
+        ("eval.extent=0.0", "eval.extent"),
+        ("eval.resolution=4", "eval.resolution"),
+        ("eval.slice_resolution=1", "eval.slice_resolution"),
+        ("eval.contour_resolution=0", "eval.contour_resolution"),
+    ],
+)
+def test_eval_bounds_rejected(override, path):
+    assert _config_error(override).startswith(path + ":")

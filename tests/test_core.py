@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from downwash.core import FormationSnapshot, VehicleState, Wrench6, relative_state
+from downwash.core import WRENCH_AXES, FormationSnapshot, VehicleState, Wrench6, relative_state
 
 from conftest import make_state
 
@@ -46,11 +46,6 @@ def test_wrench_add_identity_and_commutativity(rng):
         assert np.array_equal((a + b).vec, (b + a).vec)
 
 
-def test_wrench_scale_zero_annihilates(rng):
-    w = Wrench6(rng.uniform(-10, 10, 6))
-    assert np.array_equal(w.scale(0.0).vec, np.zeros(6))
-
-
 def test_wrench_add_associative_to_tolerance(rng):
     for _ in range(200):
         a, b, c = (Wrench6(rng.uniform(-100, 100, 6)) for _ in range(3))
@@ -60,14 +55,10 @@ def test_wrench_add_associative_to_tolerance(rng):
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
-def test_wrench_abs_components():
-    w = Wrench6(np.array([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0]))
-    assert np.array_equal(w.abs_components(), [1, 2, 3, 4, 5, 6])
-
-
 def test_wrench_component_accessors():
-    w = Wrench6.from_components(f_n=1, f_e=2, f_d=3, t_pitch=4, t_roll=5, t_yaw=6)
-    assert (w.f_n, w.f_e, w.f_d, w.t_pitch, w.t_roll, w.t_yaw) == (1, 2, 3, 4, 5, 6)
+    w = Wrench6(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    assert WRENCH_AXES == ("f_n", "f_e", "f_d", "t_pitch", "t_roll", "t_yaw")
+    assert w.f_d == 3.0 and isinstance(w.f_d, float)
 
 
 def test_nonfinite_values_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from downwash.core import FormationSnapshot, Wrench6
-from downwash.dataset import Dataset, Record, load_dataset, save_dataset, sidecar_path
+from downwash.dataset import Dataset, FormatError, Record, load_dataset, save_dataset, sidecar_path
 from downwash.field import DownwashParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 
@@ -67,3 +67,13 @@ def test_header_carries_version_and_metadata(tmp_path):
     assert cols[0] == "time"
     assert cols[8] == "k"
     assert cols.count("gt_f_d") == 1 and cols.count("meas_t_yaw") == 1
+
+
+def test_non_utf8_byte_is_format_error(tmp_path):
+    path = tmp_path / "d.csv"
+    save_dataset(_small_dataset(), path)
+    blob = path.read_bytes()
+    cut = blob.rindex(b"\n", 0, len(blob) - 1) + 5  # inside the last row's time cell
+    path.write_bytes(blob[:cut] + b"\xff" + blob[cut + 1 :])
+    with pytest.raises(FormatError, match="data row 12"):
+        load_dataset(path)

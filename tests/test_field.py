@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from downwash.core import FormationSnapshot, RelativeState, Wrench6
+from downwash.core import WRENCH_AXES, FormationSnapshot, RelativeState, Wrench6
 from downwash.field import (
     DownwashParams,
     MergeParams,
@@ -18,6 +18,9 @@ from downwash.field import (
 from conftest import make_state, random_snapshot
 
 P = DownwashParams()
+F_N, F_E, T_PITCH, T_ROLL, T_YAW = (
+    WRENCH_AXES.index(axis) for axis in ("f_n", "f_e", "t_pitch", "t_roll", "t_yaw")
+)
 
 
 def rel(dn, de, dd, dvel=(0, 0, 0)):
@@ -63,8 +66,8 @@ def test_single_vehicle_matches_frozen_values():
 def test_on_axis_symmetry():
     w = single_vehicle_wrench(rel(0, 0, -1.0), P)
     assert w.f_d > 0
-    assert w.f_n == 0 and w.f_e == 0
-    assert w.t_pitch == 0 and w.t_roll == 0 and w.t_yaw == 0
+    assert w.vec[F_N] == 0 and w.vec[F_E] == 0
+    assert w.vec[T_PITCH] == 0 and w.vec[T_ROLL] == 0 and w.vec[T_YAW] == 0
 
 
 def test_neighbour_below_gives_zero_wrench():
@@ -87,11 +90,13 @@ def test_rotational_symmetry(rng):
         w1 = single_vehicle_wrench(rel(c * dn - s * de, s * dn + c * de, -dz), P)
         # forces and torques are NED vectors: both rotate with the offsets
         np.testing.assert_allclose(
-            [c * w0.f_n - s * w0.f_e, s * w0.f_n + c * w0.f_e], [w1.f_n, w1.f_e], atol=1e-9
+            [c * w0.vec[F_N] - s * w0.vec[F_E], s * w0.vec[F_N] + c * w0.vec[F_E]],
+            [w1.vec[F_N], w1.vec[F_E]],
+            atol=1e-9,
         )
         np.testing.assert_allclose(
-            [c * w0.t_roll - s * w0.t_pitch, s * w0.t_roll + c * w0.t_pitch],
-            [w1.t_roll, w1.t_pitch],
+            [c * w0.vec[T_ROLL] - s * w0.vec[T_PITCH], s * w0.vec[T_ROLL] + c * w0.vec[T_PITCH]],
+            [w1.vec[T_ROLL], w1.vec[T_PITCH]],
             atol=1e-9,
         )
         np.testing.assert_allclose(w0.f_d, w1.f_d, rtol=1e-9)
@@ -115,7 +120,7 @@ def test_additive_symmetric_pair_cancels_laterally():
     )
     total = aggregate_additive(snap, P)
     single = single_vehicle_wrench(rel(0.3, 0, -1.0), P)
-    assert abs(total.f_n) < 1e-15
+    assert abs(total.vec[F_N]) < 1e-15
     np.testing.assert_allclose(total.f_d, 2 * single.f_d, rtol=1e-13)
 
 
@@ -205,7 +210,9 @@ def test_merging_rotational_symmetry(rng):
     w0 = aggregate_merging(base, P, M)
     w1 = aggregate_merging(FormationSnapshot(base.sufferer, tuple(rotated_neighbours)), P, M)
     np.testing.assert_allclose(
-        [c * w0.f_n - s * w0.f_e, s * w0.f_n + c * w0.f_e], [w1.f_n, w1.f_e], atol=1e-9
+        [c * w0.vec[F_N] - s * w0.vec[F_E], s * w0.vec[F_N] + c * w0.vec[F_E]],
+        [w1.vec[F_N], w1.vec[F_E]],
+        atol=1e-9,
     )
     np.testing.assert_allclose(w0.f_d, w1.f_d, rtol=1e-9)
 

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from downwash.field import DownwashParams, NoiseParams, single_vehicle_wrench
+from downwash.field import DownwashParams, NoiseParams, make_oracle, single_vehicle_wrench
 from downwash.formations import (
     Formation,
     FormationKind,
     SweepConfig,
     formation_offsets,
     generate_sweep,
-    grid_slice,
     snapshot_at,
 )
 
@@ -116,9 +115,15 @@ def test_generate_sweep_deterministic():
         assert np.array_equal(ra.truth.vec, rb.truth.vec)
 
 
-def test_grid_slice_corner_count():
-    points = grid_slice(Formation(FormationKind.SIDE_BY_SIDE, 1), 0.8, 2.0, 2, "additive", P)
-    assert [pos for pos, _ in points] == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+def grid_slice(formation, altitude, extent, resolution, oracle_kind, params):
+    """Noiseless oracle wrenches on an n-major lateral grid of centroid positions."""
+    oracle = make_oracle(oracle_kind, params)
+    axis = np.linspace(-extent / 2.0, extent / 2.0, resolution)
+    return [
+        ((float(n), float(e)), oracle(snapshot_at(formation, float(n), float(e), altitude)))
+        for n in axis
+        for e in axis
+    ]
 
 
 def test_grid_slice_k1_delegates_to_single_vehicle():
@@ -137,8 +142,3 @@ def test_grid_slice_merging_support_smaller_than_additive():
     fa = np.array([w.f_d for _, w in additive])
     fm = np.array([w.f_d for _, w in merging])
     assert np.count_nonzero(fm >= 0.5 * fm.max()) < np.count_nonzero(fa >= 0.5 * fa.max())
-
-
-def test_grid_slice_resolution_validated():
-    with pytest.raises(ValueError):
-        grid_slice(Formation(FormationKind.SIDE_BY_SIDE, 1), 0.8, 2.0, 1, "additive", P)
