@@ -73,6 +73,10 @@ def _grid_geometry(sweep):
     vertical cell per altitude plane."""
     half = sweep.lateral_extent / 2.0
     alts = sorted(set(sweep.altitudes))
+    # With one plane there is no altitude step, so the formation spacing
+    # stands in.  The fitted table does not depend on it (every record lies on
+    # the plane); it only sets how far off the plane a query still reads the
+    # plane's values: spacing/2 either way, zero beyond.
     step = (alts[-1] - alts[0]) / (len(alts) - 1) if len(alts) > 1 else sweep.spacing
     vertical = (-alts[-1] - step / 2.0, -alts[0] + step / 2.0)
     return ((-half, half), (-half, half)), vertical, len(alts)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import sys
 import typing
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -63,7 +64,10 @@ def _value(tp, value, path: str, base: dict | None = None):
         return tp(value) if isinstance(tp, enum.EnumMeta) else value
     if dataclasses.is_dataclass(tp):
         return build(tp, value, path, base)
-    if tp is float and type(value) is int:
+    if tp is float and type(value) in (int, float):
+        # nan, inf and ints beyond the float range all fail this
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if tp is Path and isinstance(value, str):
         return Path(value)
@@ -93,7 +97,7 @@ def build(cls, mapping, path: str, base: dict | None = None, skip=()):
         elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}: required key missing")
     if section:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(section)}")
+        raise ConfigError(f"{path}: unknown key(s) {sorted(section, key=str)}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -235,7 +239,7 @@ def parse_config(doc: dict) -> RunConfig:
     )
     for section, path in ((models, "models"), (root, "config")):
         if section:
-            raise ConfigError(f"{path}: unknown key(s) {sorted(section)}")
+            raise ConfigError(f"{path}: unknown key(s) {sorted(section, key=str)}")
     for spec in datasets:
         if spec.name == cfg.naive.fit_on and spec.formation.k != 1:
             raise ConfigError(

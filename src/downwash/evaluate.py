@@ -192,16 +192,6 @@ class EvalReport:
                 best = min(cands, key=lambda r: r["errors"][ax])
                 best["wins"][ax] = True
 
-    def errors_for(self, formation_label: str, model_name: str, altitude: float) -> np.ndarray:
-        for row in self.rows:
-            if (
-                row["formation"] == formation_label
-                and row["model"] == model_name
-                and row["altitude"] == altitude
-            ):
-                return np.array(row["errors"])
-        raise KeyError(f"no row for {formation_label}/{model_name}@{altitude}")
-
     def to_csv(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

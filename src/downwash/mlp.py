@@ -74,13 +74,11 @@ class Mlp:
         return y, activations
 
     def backward(self, activations, dy: np.ndarray):
-        """Backpropagate ``dy`` (gradient w.r.t. the output of forward_cached).
+        """Backpropagate ``dy`` (m, d_out), the gradient w.r.t. the batch output
+        of forward_cached.
 
         Returns (weight grads, bias grads, gradient w.r.t. the input).
         """
-        dy = np.asarray(dy, dtype=float)
-        if dy.ndim == 1:
-            dy = dy[None, :]
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = dy

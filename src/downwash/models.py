@@ -12,6 +12,12 @@ Each model maps a feature batch (m, K, 6) to a wrench batch (m, 6) with
 wraps it for one ``FormationSnapshot``.  Feature rows arrive in canonical
 order (see :mod:`downwash.core`), which makes permutation invariance bitwise
 rather than merely approximate.
+
+The two learnt models are one set network, ``forward(rows, counts)`` and
+``backward``, which training and ``predict_batch`` share.  A batch is
+ragged: the neighbour feature rows of all samples stacked sample by sample
+(R, 6), plus each sample's row count (n,), so samples of different K (K=0
+included) mix in one batch with no padding.
 """
 
 from __future__ import annotations
@@ -29,10 +35,19 @@ FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
 MODEL_FORMAT_VERSION = 1
 
 
-def _per_neighbour(net: Mlp, feats: np.ndarray) -> np.ndarray:
-    """``net`` applied to every feature row: (m, K, 6) -> (m, K, net.d_out)."""
-    m, k, _ = feats.shape
-    return net.forward(feats.reshape(m * k, FEATURE_DIM)).reshape(m, k, net.d_out)
+def segment_sum(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-sample sums (n, d) of stacked rows (sum(counts), d), sample i owning
+    the next ``counts[i]`` rows; zero for a sample with none.  Each sum runs
+    left to right from zero, ((0 + a) + b) + c, as ``sum(axis=1)`` does on a
+    (n, K, d) batch, so it never depends on the batch around it
+    (``np.add.reduceat`` sums a + (b + c) and rejects a trailing empty segment)."""
+    out = np.zeros((len(counts), rows.shape[1]))
+    starts = np.cumsum(counts) - counts
+    for j in range(int(counts.max(initial=0))):
+        # row j of each sample; a sample with fewer rows reads a clamped index, masked out
+        row_j = rows[np.minimum(starts + j, len(rows) - 1)]
+        np.add(out, row_j, out=out, where=(counts > j)[:, None])
+    return out
 
 
 class _Model:
@@ -43,47 +58,77 @@ class _Model:
         return Wrench6(self.predict_batch(snap.features()[None])[0])
 
 
-class LinearAggModel(_Model):
-    """Learnt linear aggregation: summed per-neighbour wrench predictions."""
+class _SetNet(_Model):
+    """decoder(sum(encoder(neighbour))) over ragged neighbour sets (see the
+    module docstring); without a decoder the pooled encoder outputs are the
+    prediction."""
+
+    def __init__(self, encoder: Mlp, decoder: Mlp | None, metadata: dict | None):
+        last = decoder or encoder
+        if encoder.d_in != FEATURE_DIM or last.d_out != 6 or (decoder and decoder.d_in != encoder.d_out):
+            raise ValueError("the set network must chain 6 features -> (embedding ->) 6 wrench components")
+        self.encoder = encoder
+        self.decoder = decoder
+        self.metadata = metadata or {}
+
+    def parameters(self) -> list:
+        """All trainable parameter arrays, encoder first, then the decoder."""
+        nets = [self.encoder] if self.decoder is None else [self.encoder, self.decoder]
+        return [p for net in nets for p in net.parameters()]
+
+    def forward(self, rows: np.ndarray, counts: np.ndarray):
+        """Predictions (n, 6) of a ragged batch, and the cache for :meth:`backward`."""
+        embed, enc_cache = self.encoder.forward_cached(rows)
+        pooled = segment_sum(embed, counts)
+        if self.decoder is None:
+            return pooled, (counts, enc_cache, None)
+        pred, dec_cache = self.decoder.forward_cached(pooled)
+        return pred, (counts, enc_cache, dec_cache)
+
+    def backward(self, cache, dpred: np.ndarray) -> list:
+        """Gradients in :meth:`parameters` order, given d loss / d pred (n, 6)."""
+        counts, enc_cache, dec_cache = cache
+        dec_grads = []
+        if dec_cache is not None:
+            gw, gb, dpred = self.decoder.backward(dec_cache, dpred)
+            dec_grads = [g for pair in zip(gw, gb) for g in pair]
+        # every row of a sample receives that sample's pooled gradient
+        gw, gb, _ = self.encoder.backward(enc_cache, np.repeat(dpred, counts, axis=0))
+        return [g for pair in zip(gw, gb) for g in pair] + dec_grads
+
+    def predict_batch(self, feats: np.ndarray) -> np.ndarray:
+        m, k, _ = feats.shape
+        return self.forward(feats.reshape(-1, FEATURE_DIM), np.full(m, k))[0]
+
+
+class LinearAggModel(_SetNet):
+    """Learnt linear aggregation: summed per-neighbour wrench predictions,
+    i.e. the set network without a decoder."""
+
+    psi = property(lambda self: self.encoder)
 
     def __init__(self, psi: Mlp, metadata: dict | None = None):
-        if psi.d_in != FEATURE_DIM or psi.d_out != 6:
-            raise ValueError("psi must map 6 features to 6 wrench components")
-        self.psi = psi
-        self.metadata = metadata or {}
+        super().__init__(psi, None, metadata)
 
     @classmethod
     def initialised(cls, rng, hidden=(64, 64)) -> "LinearAggModel":
         return cls(Mlp.initialised([FEATURE_DIM, *hidden, 6], rng))
 
-    def predict_batch(self, feats: np.ndarray) -> np.ndarray:
-        return _per_neighbour(self.psi, feats).sum(axis=1)
 
-
-class DeepSetModel(_Model):
+class DeepSetModel(_SetNet):
     """Sum-pooled set network: decode(sum(embed(neighbour)))."""
 
+    phi = property(lambda self: self.encoder)
+    big_phi = property(lambda self: self.decoder)
+
     def __init__(self, phi: Mlp, big_phi: Mlp, metadata: dict | None = None):
-        if phi.d_in != FEATURE_DIM:
-            raise ValueError("phi must take the 6-dim relative feature vector")
-        if big_phi.d_in != phi.d_out or big_phi.d_out != 6:
-            raise ValueError("decoder dims must chain embed -> 6 wrench components")
-        self.phi = phi
-        self.big_phi = big_phi
-        self.metadata = metadata or {}
+        super().__init__(phi, big_phi, metadata)
 
     @classmethod
     def initialised(cls, rng, embed_dim=64, phi_hidden=(64, 64), decoder_hidden=(64,)) -> "DeepSetModel":
         phi = Mlp.initialised([FEATURE_DIM, *phi_hidden, embed_dim], rng)
         big_phi = Mlp.initialised([embed_dim, *decoder_hidden, 6], rng)
         return cls(phi, big_phi)
-
-    def pooled_embedding(self, feats: np.ndarray) -> np.ndarray:
-        """Summed neighbour embeddings (m, embed_dim) of a feature batch."""
-        return _per_neighbour(self.phi, feats).sum(axis=1)
-
-    def predict_batch(self, feats: np.ndarray) -> np.ndarray:
-        return self.big_phi.forward(self.pooled_embedding(feats))
 
 
 class GridLookupModel(_Model):

@@ -2,11 +2,12 @@
 
 Both model classes are trained with Adam on a weighted MSE between the
 model prediction and the noisy measurement, with gradients flowing through
-the set summation.  Training reads the datasets' arrays directly: each
-dataset's state batch becomes its feature batch (n, K, 6), and datasets of
-different K are stacked by padding to the largest K and masking, which is
-exact: padded rows receive zero upstream gradient.  Runs are bitwise
-deterministic given the config.
+the set summation.  Training reads the datasets' arrays directly: every
+sample's canonically ordered neighbour feature rows are stacked into one
+(R, 6) array with per-sample row counts (n,), so datasets of different K
+train together without padding; a shuffled batch gathers its samples' rows
+through per-sample offsets.  Runs are bitwise deterministic given the
+config.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import relative_features
-from .dataset import Dataset
 from .mlp import Adam, weighted_mse
-from .models import DeepSetModel, FEATURE_DIM, LinearAggModel
+from .models import FEATURE_DIM
 from .rng import stream, substream_seed
 
 
@@ -54,28 +54,19 @@ class TrainConfig:
 
 
 def dataset_arrays(data):
-    """Stack one or more datasets into padded training arrays.
+    """Stack one or more datasets into ragged training arrays.
 
-    Returns (features (n, Kmax, 6), mask (n, Kmax), targets (n, 6)) where
-    targets are the noisy measurements and features are canonically ordered
-    per sample; rows of a dataset with K < Kmax are padded with zeros and
-    masked out.
+    Returns (rows (R, 6), counts (n,), targets (n, 6)): sample i owns the
+    next ``counts[i]`` canonically ordered feature rows, and targets are the
+    noisy measurements.
     """
-    datasets = [data] if isinstance(data, Dataset) else list(data)
-    n = sum(len(d) for d in datasets)
-    if n == 0:
+    datasets = [data] if hasattr(data, "states") else list(data)  # one dataset or several
+    if sum(len(d) for d in datasets) == 0:
         raise ValueError("no training records")
-    kmax = max(max(d.k for d in datasets), 1)
-    feats = np.zeros((n, kmax, FEATURE_DIM))
-    mask = np.zeros((n, kmax))
-    start = 0
-    for d in datasets:
-        rows = slice(start, start + len(d))
-        feats[rows, : d.k] = relative_features(d.states)
-        mask[rows, : d.k] = 1.0
-        start += len(d)
+    rows = np.concatenate([relative_features(d.states).reshape(-1, FEATURE_DIM) for d in datasets])
+    counts = np.concatenate([np.full(len(d), d.k) for d in datasets])
     targets = np.concatenate([d.measured for d in datasets])
-    return feats, mask, targets
+    return rows, counts, targets
 
 
 def loss_weights_for(targets: np.ndarray, sigma_floor: float = 0.05) -> np.ndarray:
@@ -84,52 +75,12 @@ def loss_weights_for(targets: np.ndarray, sigma_floor: float = 0.05) -> np.ndarr
     return 1.0 / (std * std)
 
 
-def _model_mlps(model):
-    if isinstance(model, LinearAggModel):
-        return [model.psi]
-    if isinstance(model, DeepSetModel):
-        return [model.phi, model.big_phi]
-    raise TypeError(f"cannot train {type(model).__name__}")
-
-
-def model_parameters(model) -> list:
-    """All trainable parameter arrays of a model, in a defined order."""
-    return [p for net in _model_mlps(model) for p in net.parameters()]
-
-
-def batch_loss_and_gradients(model, feats, mask, targets, axis_weights):
-    """Weighted-MSE loss and exact gradients through the set summation.
-
-    ``feats`` is (B, K, 6) with ``mask`` (B, K); gradients are returned in
-    :func:`model_parameters` order.
-    """
-    b, kmax, _ = feats.shape
-    rows = feats.reshape(b * kmax, FEATURE_DIM)
-    if isinstance(model, LinearAggModel):
-        per_row, cache = model.psi.forward_cached(rows)
-        pred = (per_row.reshape(b, kmax, 6) * mask[:, :, None]).sum(axis=1)
-        loss, dpred = weighted_mse(pred, targets, axis_weights)
-        drows = (np.broadcast_to(dpred[:, None, :], (b, kmax, 6)) * mask[:, :, None]).reshape(
-            b * kmax, 6
-        )
-        gw, gb, _ = model.psi.backward(cache, drows)
-        grads = [g for pair in zip(gw, gb) for g in pair]
-        return loss, grads
-    if isinstance(model, DeepSetModel):
-        embed, cache_phi = model.phi.forward_cached(rows)
-        h = model.phi.d_out
-        pooled = (embed.reshape(b, kmax, h) * mask[:, :, None]).sum(axis=1)
-        pred, cache_dec = model.big_phi.forward_cached(pooled)
-        loss, dpred = weighted_mse(pred, targets, axis_weights)
-        gw2, gb2, dpooled = model.big_phi.backward(cache_dec, dpred)
-        drows = (np.broadcast_to(dpooled[:, None, :], (b, kmax, h)) * mask[:, :, None]).reshape(
-            b * kmax, h
-        )
-        gw1, gb1, _ = model.phi.backward(cache_phi, drows)
-        grads = [g for pair in zip(gw1, gb1) for g in pair]
-        grads += [g for pair in zip(gw2, gb2) for g in pair]
-        return loss, grads
-    raise TypeError(f"cannot train {type(model).__name__}")
+def batch_loss_and_gradients(model, rows, counts, targets, axis_weights):
+    """Weighted-MSE loss and exact gradients, in ``model.parameters()`` order,
+    of a ragged batch (see :func:`dataset_arrays`)."""
+    pred, cache = model.forward(rows, counts)
+    loss, dpred = weighted_mse(pred, targets, axis_weights)
+    return loss, model.backward(cache, dpred)
 
 
 def train(model, data, cfg: TrainConfig):
@@ -140,9 +91,10 @@ def train(model, data, cfg: TrainConfig):
     with identical config and data produce bitwise-identical parameters.
     Any non-finite parameter aborts with :class:`TrainingDivergence`.
     """
-    feats, mask, targets = dataset_arrays(data)
+    rows, counts, targets = dataset_arrays(data)
+    offsets = np.cumsum(counts) - counts
     axis_weights = loss_weights_for(targets, cfg.sigma_floor)
-    params = model_parameters(model)
+    params = model.parameters()
     optimiser = Adam(
         params,
         learning_rate=cfg.learning_rate,
@@ -150,7 +102,7 @@ def train(model, data, cfg: TrainConfig):
         beta2=cfg.beta2,
         epsilon=cfg.epsilon,
     )
-    n = len(feats)
+    n = len(counts)
     shuffle_seed = substream_seed(cfg.seed, "shuffle")
     history = []
     for epoch in range(cfg.epochs):
@@ -158,8 +110,11 @@ def train(model, data, cfg: TrainConfig):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             pick = order[start : start + cfg.batch_size]
+            pick_counts = counts[pick]
+            # the picked samples' rows, sample by sample
+            shift = np.repeat(offsets[pick] - (np.cumsum(pick_counts) - pick_counts), pick_counts)
             loss, grads = batch_loss_and_gradients(
-                model, feats[pick], mask[pick], targets[pick], axis_weights
+                model, rows[np.arange(len(shift)) + shift], pick_counts, targets[pick], axis_weights
             )
             optimiser.step(params, grads)
             total += loss * len(pick)

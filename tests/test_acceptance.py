@@ -35,7 +35,6 @@ from downwash.training import (
     batch_loss_and_gradients,
     dataset_arrays,
     loss_weights_for,
-    model_parameters,
     train,
 )
 
@@ -92,11 +91,10 @@ def test_criterion_2_gradient_correctness():
         for snap in batch:
             rows.append(snap.features())
         feats = np.stack(rows)
-        mask = np.ones(feats.shape[:2])
         targets = rng.uniform(-2, 2, (len(batch), 6))
         weights = loss_weights_for(targets)
-        _, analytic = batch_loss_and_gradients(model, feats, mask, targets, weights)
-        params = model_parameters(model)
+        _, analytic = batch_loss_and_gradients(model, feats.reshape(-1, 6), np.full(4, 3), targets, weights)
+        params = model.parameters()
         step = 1e-5
         for p_arr, g_arr in zip(params, analytic):
             flat = p_arr.reshape(-1)
@@ -104,9 +102,9 @@ def test_criterion_2_gradient_correctness():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = batch_loss_and_gradients(model, feats, mask, targets, weights)[0]
+                hi = batch_loss_and_gradients(model, feats.reshape(-1, 6), np.full(4, 3), targets, weights)[0]
                 flat[i] = orig - step
-                lo = batch_loss_and_gradients(model, feats, mask, targets, weights)[0]
+                lo = batch_loss_and_gradients(model, feats.reshape(-1, 6), np.full(4, 3), targets, weights)[0]
                 flat[i] = orig
                 fd = (hi - lo) / (2 * step)
                 denom = max(abs(gflat[i]), abs(fd), 1e-6)

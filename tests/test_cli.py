@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import downwash
-from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
-from downwash.models import LinearAggModel, load_model, save_model
+from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, _grid_geometry, main
+from downwash.field import DownwashParams, NoiseParams
+from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
+from downwash.models import LinearAggModel, fit_grid, load_model, save_model
 from downwash.rng import stream
 
 MINI_CFG = """
@@ -271,3 +273,26 @@ def test_neighbour_on_the_sufferer_is_format_error(tmp_path, capsys):
     _train_fails_on_dataset(
         tmp_path, capsys, lambda path: _edit_rows(path, coincide), "data row 3: a neighbour coincides"
     )
+
+
+def test_grid_geometry_vertical_cells():
+    sweep = SweepConfig(altitudes=(0.3, 0.8, 1.3))
+    _, vertical, planes = _grid_geometry(sweep)
+    assert planes == 3 and vertical == pytest.approx((-1.55, -0.05))  # one 0.5 m cell per plane
+
+
+def test_single_altitude_grid_cell_is_one_spacing_high():
+    sweep = SweepConfig(legs=4, samples_per_leg=20, altitudes=(1.3,), spacing=0.4)
+    lateral, vertical, planes = _grid_geometry(sweep)
+    assert planes == 1 and vertical == pytest.approx((-1.5, -1.1))
+    data = generate_sweep(
+        Formation(FormationKind.SIDE_BY_SIDE, 1), sweep, "additive", DownwashParams(), noise=NoiseParams(0.0, 0.0)
+    )
+    grid = fit_grid(data, resolution=(4, 4, planes), lateral_bounds=lateral, vertical_bounds=vertical)
+    # the one plane answers within spacing/2 of its altitude and nowhere else
+    on_plane = grid.query([0.0, 0.0, -1.3])
+    assert np.any(on_plane != 0.0)
+    np.testing.assert_allclose(grid.query([0.0, 0.0, -1.3 + 0.19]), on_plane, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grid.query([0.0, 0.0, -1.3 - 0.19]), on_plane, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 + 0.21]), np.zeros(6))
+    np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 - 0.21]), np.zeros(6))

@@ -1,7 +1,13 @@
+import dataclasses
+import re
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from downwash.config import ConfigError, apply_override, load_config, parse_config
+from downwash import config
+from downwash.config import ConfigError, RunConfig, apply_override, load_config, parse_config
 from downwash.formations import FormationKind
 
 MINIMAL = """
@@ -182,3 +188,91 @@ def test_grid_baseline_must_fit_on_a_k1_dataset():
     }
     with pytest.raises(ConfigError, match=r"^models\.naive\.fit_on: .*k=1.*'lf3' has k=3"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("eval.altitudes=[.nan]", "eval.altitudes[0]"),
+        ("field.peak_force=.inf", "field.peak_force"),
+        ("merge.merge_radius=-.inf", "merge.merge_radius"),
+        ("noise.sigma_force=.nan", "noise.sigma_force"),
+        ("training.learning_rate=.nan", "training.learning_rate"),
+        ("sweep.spacing=1" + "0" * 400, "sweep.spacing"),
+    ],
+)
+def test_non_finite_floats_rejected(override, path):
+    assert _config_error(override).startswith(path + ": expected a finite number")
+
+
+# -- fuzzing: any YAML-like document ends in a RunConfig or a ConfigError at a path
+
+_SCHEMA_CLASSES = (
+    config.DownwashParams,
+    config.MergeParams,
+    config.NoiseParams,
+    config.SweepConfig,
+    config.TrainConfig,
+    config.Formation,
+    config.DatasetSpec,
+    config.NaiveSettings,
+    config.LinearSettings,
+    config.DeepSetSettings,
+    config.EvalSettings,
+)
+# Schema keys and enumerated values, so fuzzed documents reach past the top level.
+_WORDS = sorted(
+    {f.name for cls in _SCHEMA_CLASSES for f in dataclasses.fields(cls)}
+    | {"seed", "output_dir", "field", "merge", "noise", "models", "eval", "naive", "linear", "deepset"}
+    | {"name", "kind", "k", "oracle", "single_k1", "additive", "merging", "n", "e"}
+    | {kind.value for kind in FormationKind}
+)
+_PATHS = ["seed", "field", "field.peak_force", "merge.merge_radius", "noise", "noise.sigma_torque",
+          "sweep", "sweep.altitudes", "sweep.legs", "datasets", "training.epochs", "training.beta1",
+          "models", "models.naive.fit_on", "models.naive.resolution", "models.linear.hidden",
+          "models.deepset", "eval", "eval.formations", "eval.altitudes", "eval.slice_axis"]
+_PATH = re.compile(r"^[a-z_0-9]+(\[\d+\])*(\.[a-z_0-9]+(\[\d+\])*)*: ")
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_WORDS),
+    st.text(max_size=3),
+)
+_keys = st.one_of(st.sampled_from(_WORDS), st.text(max_size=3), st.integers(-2, 2), st.none(), st.booleans())
+_trees = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=5)),
+    max_leaves=20,
+)
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _parses_or_names_a_path(doc):
+    try:
+        assert isinstance(parse_config(doc), RunConfig)
+    except ConfigError as exc:
+        assert _PATH.match(str(exc)), str(exc)
+
+
+@FUZZ
+@given(_trees)
+def test_fuzzed_documents_parse_or_name_a_path(doc):
+    _parses_or_names_a_path(doc)
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.sampled_from(_PATHS), _trees), min_size=1, max_size=3))
+def test_fuzzed_overrides_of_a_valid_config_parse_or_name_a_path(assignments):
+    doc = yaml.safe_load(MINIMAL)
+    for dotted, value in assignments:
+        *parents, last = dotted.split(".")
+        node = doc
+        for key in parents:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[last] = value
+    _parses_or_names_a_path(doc)

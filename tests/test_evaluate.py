@@ -126,8 +126,9 @@ def test_contour_zero_predictor_all_zero(tmp_path):
 
 def test_benchmark_same_model_twice_gives_identical_columns():
     report = benchmark({"a": ADD, "b": ADD}, [LF3], MER, altitudes=[1.3], resolution=16)
-    err_a = report.errors_for(LF3.label(), "a", 1.3)
-    err_b = report.errors_for(LF3.label(), "b", 1.3)
+    rows = {row["model"]: row for row in report.rows}
+    assert rows["a"]["formation"] == LF3.label() and rows["a"]["altitude"] == 1.3
+    err_a, err_b = np.array(rows["a"]["errors"]), np.array(rows["b"]["errors"])
     np.testing.assert_array_equal(err_a[~np.isnan(err_a)], err_b[~np.isnan(err_b)])
 
 

@@ -13,6 +13,7 @@ from downwash.models import (
     fit_grid,
     load_model,
     save_model,
+    segment_sum,
 )
 
 from conftest import make_state, random_snapshot
@@ -66,8 +67,8 @@ def test_deepset_duplicate_neighbour_doubles_embedding(rng):
     model = DeepSetModel.initialised(rng)
     snap1 = random_snapshot(rng, 1)
     snap2 = FormationSnapshot(snap1.sufferer, (snap1.neighbours[0], snap1.neighbours[0]))
-    e1 = model.pooled_embedding(snap1.features()[None])
-    e2 = model.pooled_embedding(snap2.features()[None])
+    e1 = segment_sum(model.phi.forward(snap1.features()), np.array([1]))
+    e2 = segment_sum(model.phi.forward(snap2.features()), np.array([2]))
     np.testing.assert_allclose(e2, 2 * e1, rtol=1e-12)
     # the decoded output is nonlinear in the embedding, so it does not double
     assert not np.allclose(model.predict(snap2).vec, 2 * model.predict(snap1).vec, rtol=1e-3)
@@ -88,6 +89,46 @@ def test_deepset_k0_is_decoder_of_zero(rng):
     model = DeepSetModel.initialised(rng)
     out = model.predict(FormationSnapshot(make_state((0, 0, 0))))
     np.testing.assert_array_equal(out.vec, model.big_phi.forward(np.zeros(model.phi.d_out)))
+
+
+def test_deepset_k0_forward_is_decoder_of_zero(rng):
+    model = DeepSetModel.initialised(rng)
+    pred, _ = model.forward(np.zeros((0, 6)), np.zeros(1, dtype=np.int64))
+    np.testing.assert_array_equal(pred[0], model.big_phi.forward(np.zeros(model.phi.d_out)))
+
+
+def test_segment_sum_runs_left_to_right():
+    rows = np.array([[1e16], [-1e16], [1.0]])
+    assert segment_sum(rows, np.array([3]))[0, 0] == 1.0
+    # np.add.reduceat sums this segment as a + (b + c), losing the 1.0
+    assert np.add.reduceat(rows, [0])[0, 0] == 0.0
+    # a uniform batch pools to the bytes of sum(axis=1), signed zeros included
+    uniform = np.array([[-0.0, 1e16], [-0.0, -1e16], [0.5, 1.0], [-0.0, 3.0], [-0.0, 0.1], [-0.0, 0.2]])
+    expected = uniform.reshape(2, 3, 2).sum(axis=1)
+    assert segment_sum(uniform, np.array([3, 3])).tobytes() == expected.tobytes()
+
+
+def test_segment_sum_of_a_sample_does_not_depend_on_its_batch(rng):
+    counts = np.array([3, 0, 1, 3, 0, 1, 3])
+    rows = rng.normal(size=(counts.sum(), 64))
+    pooled = segment_sum(rows, counts)
+    starts = np.cumsum(counts) - counts
+    for i, (start, count) in enumerate(zip(starts, counts)):
+        alone = segment_sum(rows[start : start + count], counts[i : i + 1])
+        np.testing.assert_array_equal(pooled[i], alone[0])
+    assert np.all(pooled[counts == 0] == 0.0)
+
+
+def test_ragged_forward_matches_per_snapshot_predictions(rng):
+    # one mixed K=0/1/3 batch through forward agrees with each snapshot
+    # predicted alone; only BLAS blocking over the batch size may differ
+    snaps = [random_snapshot(rng, k) for k in (3, 0, 1, 3, 1, 0)]
+    rows = np.concatenate([s.features() for s in snaps])
+    counts = np.array([len(s.neighbours) for s in snaps])
+    for model in (LinearAggModel.initialised(rng), DeepSetModel.initialised(rng)):
+        pred, _ = model.forward(rows, counts)
+        for snap, row in zip(snaps, pred):
+            np.testing.assert_allclose(row, model.predict(snap).vec, rtol=0, atol=1e-12)
 
 
 def test_deepset_not_additive_in_general(rng):

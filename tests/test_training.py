@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from downwash.dataset import Dataset
 from downwash.field import DownwashParams, MergeParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 from downwash.models import DeepSetModel, LinearAggModel
@@ -11,7 +12,6 @@ from downwash.training import (
     batch_loss_and_gradients,
     dataset_arrays,
     loss_weights_for,
-    model_parameters,
     train,
 )
 
@@ -51,9 +51,9 @@ def _merging_k3(samples=60):
 def test_zero_learning_rate_leaves_parameters_unchanged():
     data = _merging_k3(samples=10)
     model = LinearAggModel.initialised(stream(4))
-    before = [p.copy() for p in model_parameters(model)]
+    before = [p.copy() for p in model.parameters()]
     train(model, data, TrainConfig(epochs=3, learning_rate=0.0, seed=1))
-    for a, b in zip(before, model_parameters(model)):
+    for a, b in zip(before, model.parameters()):
         np.testing.assert_array_equal(a, b)
 
 
@@ -64,7 +64,7 @@ def test_training_is_bitwise_deterministic():
     for _ in range(2):
         model = DeepSetModel.initialised(stream(9), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
         history, _ = train(model, data, cfg)
-        params.append(([p.copy() for p in model_parameters(model)], history))
+        params.append(([p.copy() for p in model.parameters()], history))
     for a, b in zip(params[0][0], params[1][0]):
         assert np.array_equal(a, b)
     assert params[0][1] == params[1][1]
@@ -77,15 +77,15 @@ def test_set_summation_gradients_match_finite_differences(kind, rng):
     else:
         model = DeepSetModel.initialised(stream(12), embed_dim=6, phi_hidden=(8,), decoder_hidden=(8,))
     data = _merging_k3(samples=2)
-    feats, mask, targets = dataset_arrays(data)
-    feats, mask, targets = feats[:6], mask[:6], targets[:6]
+    rows, counts, targets = dataset_arrays(data)
+    rows, counts, targets = rows[: counts[:6].sum()], counts[:6], targets[:6]
     weights = loss_weights_for(targets)
-    _, analytic = batch_loss_and_gradients(model, feats, mask, targets, weights)
+    _, analytic = batch_loss_and_gradients(model, rows, counts, targets, weights)
 
     def loss():
-        return batch_loss_and_gradients(model, feats, mask, targets, weights)[0]
+        return batch_loss_and_gradients(model, rows, counts, targets, weights)[0]
 
-    numeric = fd_gradients(loss, model_parameters(model))
+    numeric = fd_gradients(loss, model.parameters())
     assert max_rel_error(analytic, numeric) < 1e-4
 
 
@@ -102,8 +102,33 @@ def test_mixed_k_batches_train(rng):
     model = DeepSetModel.initialised(stream(21), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
     history, _ = train(model, [k1, k3], TrainConfig(epochs=4, seed=6, batch_size=32))
     assert len(history) == 4 and np.isfinite(history).all()
-    feats, mask, _ = dataset_arrays([k1, k3])
-    assert feats.shape[1] == 3 and set(mask.sum(axis=1)) == {1.0, 3.0}
+    rows, counts, _ = dataset_arrays([k1, k3])
+    assert set(counts) == {1, 3} and len(rows) == counts.sum() == len(k1) + 3 * len(k3)
+
+
+def _k0(n=20, seed=8):
+    """An in-memory K=0 dataset: a lone sufferer with noise-only measurements."""
+    rng = np.random.default_rng(seed)
+    measured = rng.normal(0.0, 0.05, (n, 6))
+    return Dataset(np.arange(n, dtype=float), np.zeros((n, 1, 7)), np.zeros((n, 6)), measured, {})
+
+
+@pytest.mark.parametrize("model_cls", [LinearAggModel, DeepSetModel])
+def test_k0_dataset_trains(model_cls):
+    model = model_cls.initialised(stream(40))
+    history, _ = train(model, _k0(), TrainConfig(epochs=3, seed=4, batch_size=8))
+    assert len(history) == 3 and np.isfinite(history).all()
+    assert all(np.isfinite(p).all() for p in model.parameters())
+
+
+def test_k0_and_k3_mix_trains():
+    data = [_k0(), _merging_k3(samples=5)]
+    rows, counts, _ = dataset_arrays(data)
+    assert set(counts) == {0, 3} and len(rows) == counts.sum()
+    model = DeepSetModel.initialised(stream(41), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+    history, _ = train(model, data, TrainConfig(epochs=3, seed=5, batch_size=16))
+    assert len(history) == 3 and np.isfinite(history).all()
+    assert all(np.isfinite(p).all() for p in model.parameters())
 
 
 def test_divergence_detection_reports_epoch():
@@ -119,8 +144,8 @@ def test_noiseless_k1_reaches_regression_baseline():
     data = _k1_noiseless()
     model = LinearAggModel.initialised(stream(123))
     train(model, data, TrainConfig(epochs=200, seed=55))
-    feats, _, targets = dataset_arrays(data)
-    preds = model.predict_batch(feats)
+    rows, counts, targets = dataset_arrays(data)
+    preds = model.forward(rows, counts)[0]
     rmse = float(np.sqrt(np.mean((preds - targets) ** 2)))
     assert rmse < 0.05 * P.peak_force
     assert rmse < 1.5 * K1_NOISELESS_RMSE_BASELINE
