@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
-from .dataset import FormatError, load_dataset, save_dataset
+from .dataset import FormatError, load_dataset, save_dataset, write_atomic
 from .evaluate import benchmark, contour_grid, contour_to_csv, slice_profile
 from .field import NoiseParams, make_oracle
 from .formations import generate_sweep
@@ -83,23 +84,27 @@ def _grid_geometry(sweep):
 
 
 def _write_loss_history(path: Path, history) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow([str(epoch), repr(float(loss))])
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["epoch", "loss"])
+    for epoch, loss in enumerate(history):
+        writer.writerow([str(epoch), repr(float(loss))])
+    write_atomic(path, fh.getvalue().encode("utf-8"))
 
 
 def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     """Fit the naive grid and train both learnt models; returns model paths."""
     base = Path(datasets_dir) if datasets_dir else cfg.output_dir / "datasets"
+    loaded = {}
 
     def _load(name: str):
-        path = base / f"{name}.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"dataset {name!r} not found at {path} (run 'gen' first?)")
-        return load_dataset(path)
+        """Each dataset is read once, however many models use it."""
+        if name not in loaded:
+            path = base / f"{name}.csv"
+            if not path.exists():
+                raise FileNotFoundError(f"dataset {name!r} not found at {path} (run 'gen' first?)")
+            loaded[name] = load_dataset(path)
+        return loaded[name]
 
     paths = []
 

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,19 @@ _WRENCH_FIELDS = ("f_n", "f_e", "f_d", "t_pitch", "t_roll", "t_yaw")
 
 class FormatError(ValueError):
     """A dataset or model file whose content does not match its format."""
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the whole new one, never a part."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass

@@ -18,6 +18,14 @@ The two learnt models are one set network, ``forward(rows, counts)`` and
 ragged: the neighbour feature rows of all samples stacked sample by sample
 (R, 6), plus each sample's row count (n,), so samples of different K (K=0
 included) mix in one batch with no padding.
+
+A set network keeps all its parameters in one float64 vector ``flat``
+(encoder, then decoder); every weight and bias is a view into it.
+``backward`` returns gradients as views of one vector with the same layout,
+newly allocated on each call unless the caller passes its own.  Training
+passes a workspace (``workspace(samples, rows)``) that it owns and reuses
+for every step; ``predict_batch`` passes none, so the predictions it returns
+never share memory with a later call.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import FormationSnapshot, Wrench6
-from .dataset import Dataset, FormatError
-from .mlp import Mlp
+from .dataset import Dataset, FormatError, write_atomic
+from .mlp import Mlp, Workspace
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
 MODEL_FORMAT_VERSION = 1
@@ -44,9 +52,11 @@ def segment_sum(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.zeros((len(counts), rows.shape[1]))
     starts = np.cumsum(counts) - counts
     for j in range(int(counts.max(initial=0))):
-        # row j of each sample; a sample with fewer rows reads a clamped index, masked out
-        row_j = rows[np.minimum(starts + j, len(rows) - 1)]
-        np.add(out, row_j, out=out, where=(counts > j)[:, None])
+        has = counts > j  # the samples that own a row j
+        if has.all():
+            out += rows[starts + j]
+        else:
+            out[has] += rows[starts[has] + j]
     return out
 
 
@@ -61,7 +71,11 @@ class _Model:
 class _SetNet(_Model):
     """decoder(sum(encoder(neighbour))) over ragged neighbour sets (see the
     module docstring); without a decoder the pooled encoder outputs are the
-    prediction."""
+    prediction.
+
+    All parameters live in one float64 vector ``flat``, encoder first; every
+    weight and bias of both networks is a view into it.
+    """
 
     def __init__(self, encoder: Mlp, decoder: Mlp | None, metadata: dict | None):
         last = decoder or encoder
@@ -70,31 +84,69 @@ class _SetNet(_Model):
         self.encoder = encoder
         self.decoder = decoder
         self.metadata = metadata or {}
+        self.flat = np.empty(sum(len(net.flat) for net in self._nets()))
+        for net, part in zip(self._nets(), self._parts(self.flat)):
+            net.rebind(part)
+
+    def _nets(self) -> list:
+        return [self.encoder] if self.decoder is None else [self.encoder, self.decoder]
+
+    def _parts(self, flat: np.ndarray) -> list:
+        """A vector laid out like :attr:`flat` cut into one slice per network."""
+        parts, start = [], 0
+        for net in self._nets():
+            parts.append(flat[start : start + len(net.flat)])
+            start += len(net.flat)
+        return parts
 
     def parameters(self) -> list:
-        """All trainable parameter arrays, encoder first, then the decoder."""
-        nets = [self.encoder] if self.decoder is None else [self.encoder, self.decoder]
-        return [p for net in nets for p in net.parameters()]
+        """All trainable parameter arrays, encoder first, then the decoder:
+        views of :attr:`flat`."""
+        return [p for net in self._nets() for p in net.parameters()]
 
-    def forward(self, rows: np.ndarray, counts: np.ndarray):
-        """Predictions (n, 6) of a ragged batch, and the cache for :meth:`backward`."""
-        embed, enc_cache = self.encoder.forward_cached(rows)
+    def parameter_names(self) -> list:
+        """Names in :meth:`parameters` order, such as ``encoder.W2``."""
+        return [
+            f"{role}.{kind}{i}"
+            for role, net in zip(("encoder", "decoder"), self._nets())
+            for i in range(len(net.weights))
+            for kind in "Wb"
+        ]
+
+    def workspace(self, samples: int, rows: int) -> tuple:
+        """Training buffers for batches of up to ``samples`` samples owning
+        up to ``rows`` neighbour rows in all (see :class:`~downwash.mlp.Workspace`)."""
+        return Workspace(self.encoder, rows), self.decoder and Workspace(self.decoder, samples)
+
+    def forward(self, rows: np.ndarray, counts: np.ndarray, workspace: tuple | None = None):
+        """Predictions (n, 6) of a ragged batch, and the cache for :meth:`backward`.
+
+        With a workspace from :meth:`workspace` the predictions and the
+        cache live in it until the next call; without one they are new arrays.
+        """
+        enc_ws, dec_ws = workspace or (None, None)
+        embed, enc_cache = self.encoder.forward_cached(rows, enc_ws)
         pooled = segment_sum(embed, counts)
         if self.decoder is None:
             return pooled, (counts, enc_cache, None)
-        pred, dec_cache = self.decoder.forward_cached(pooled)
+        pred, dec_cache = self.decoder.forward_cached(pooled, dec_ws)
         return pred, (counts, enc_cache, dec_cache)
 
-    def backward(self, cache, dpred: np.ndarray) -> list:
-        """Gradients in :meth:`parameters` order, given d loss / d pred (n, 6)."""
+    def backward(self, cache, dpred: np.ndarray, workspace: tuple | None = None, out=None) -> list:
+        """Gradients in :meth:`parameters` order, given d loss / d pred (n, 6):
+        views of ``out``, a vector laid out like :attr:`flat` that is newly
+        allocated when not given, so earlier results are never overwritten."""
         counts, enc_cache, dec_cache = cache
-        dec_grads = []
+        enc_ws, dec_ws = workspace or (None, None)
+        parts = self._parts(np.empty(len(self.flat)) if out is None else out)
         if dec_cache is not None:
-            gw, gb, dpred = self.decoder.backward(dec_cache, dpred)
-            dec_grads = [g for pair in zip(gw, gb) for g in pair]
+            _, _, dpred = self.decoder.backward(dec_cache, dpred, dec_ws, parts[1])
         # every row of a sample receives that sample's pooled gradient
-        gw, gb, _ = self.encoder.backward(enc_cache, np.repeat(dpred, counts, axis=0))
-        return [g for pair in zip(gw, gb) for g in pair] + dec_grads
+        sample_of_row = np.repeat(np.arange(len(counts)), counts)
+        drows = None if enc_ws is None else enc_ws.delta(-1, len(sample_of_row))
+        drows = np.take(dpred, sample_of_row, axis=0, out=drows)
+        self.encoder.backward(enc_cache, drows, enc_ws, parts[0])
+        return [v for net, part in zip(self._nets(), parts) for v in net.split(part)]
 
     def predict_batch(self, feats: np.ndarray) -> np.ndarray:
         m, k, _ = feats.shape
@@ -235,9 +287,10 @@ def fit_grid(
 
 
 def save_model(model, path) -> None:
-    """Serialize a model to a versioned JSON file (bit-exact round trip)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Serialize a model to a versioned JSON file (bit-exact round trip).
+
+    The whole document is encoded first, so a value JSON cannot hold raises
+    before the file is touched; the file is then replaced atomically."""
     doc = {"format": "downwash-model", "version": MODEL_FORMAT_VERSION}
     if isinstance(model, LinearAggModel):
         doc["kind"] = "linear"
@@ -254,9 +307,7 @@ def save_model(model, path) -> None:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     doc["metadata"] = model.metadata
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_model(path):

@@ -8,6 +8,13 @@ sample's canonically ordered neighbour feature rows are stacked into one
 train together without padding; a shuffled batch gathers its samples' rows
 through per-sample offsets.  Runs are bitwise deterministic given the
 config.
+
+``train`` owns the step's buffers: one model workspace sized for the
+largest possible batch (``batch_size`` samples times the largest K rows),
+sliced to each batch and reused by every step, and one gradient vector laid
+out like ``model.flat``, so Adam updates the whole model as one array.
+Called without them, :func:`batch_loss_and_gradients` allocates, and the
+gradients it returns are never overwritten by a later call.
 """
 
 from __future__ import annotations
@@ -23,11 +30,13 @@ from .rng import stream, substream_seed
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when a parameter goes non-finite during training."""
+    """Raised when a parameter goes non-finite during training; ``parameter``
+    names the first such array, for example ``encoder.W2``."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite parameter detected after epoch {epoch}")
+    def __init__(self, epoch: int, parameter: str):
+        super().__init__(f"non-finite parameter {parameter} detected after epoch {epoch}")
         self.epoch = epoch
+        self.parameter = parameter
 
 
 @dataclass(frozen=True)
@@ -75,12 +84,17 @@ def loss_weights_for(targets: np.ndarray, sigma_floor: float = 0.05) -> np.ndarr
     return 1.0 / (std * std)
 
 
-def batch_loss_and_gradients(model, rows, counts, targets, axis_weights):
+def batch_loss_and_gradients(model, rows, counts, targets, axis_weights, workspace=None, out=None):
     """Weighted-MSE loss and exact gradients, in ``model.parameters()`` order,
-    of a ragged batch (see :func:`dataset_arrays`)."""
-    pred, cache = model.forward(rows, counts)
+    of a ragged batch (see :func:`dataset_arrays`).
+
+    The gradients are views of ``out``, a vector laid out like
+    ``model.flat``, newly allocated when not given; ``workspace`` (from
+    ``model.workspace``) holds the activations and deltas in between.
+    """
+    pred, cache = model.forward(rows, counts, workspace)
     loss, dpred = weighted_mse(pred, targets, axis_weights)
-    return loss, model.backward(cache, dpred)
+    return loss, model.backward(cache, dpred, workspace, out)
 
 
 def train(model, data, cfg: TrainConfig):
@@ -94,7 +108,12 @@ def train(model, data, cfg: TrainConfig):
     rows, counts, targets = dataset_arrays(data)
     offsets = np.cumsum(counts) - counts
     axis_weights = loss_weights_for(targets, cfg.sigma_floor)
-    params = model.parameters()
+    n = len(counts)
+    # one workspace for the largest possible batch and one gradient vector, reused by every step
+    batch = min(cfg.batch_size, n)
+    workspace = model.workspace(batch, min(batch * int(counts.max()), len(rows)))
+    grad = np.empty(len(model.flat))
+    params = [model.flat]
     optimiser = Adam(
         params,
         learning_rate=cfg.learning_rate,
@@ -102,7 +121,6 @@ def train(model, data, cfg: TrainConfig):
         beta2=cfg.beta2,
         epsilon=cfg.epsilon,
     )
-    n = len(counts)
     shuffle_seed = substream_seed(cfg.seed, "shuffle")
     history = []
     for epoch in range(cfg.epochs):
@@ -113,13 +131,14 @@ def train(model, data, cfg: TrainConfig):
             pick_counts = counts[pick]
             # the picked samples' rows, sample by sample
             shift = np.repeat(offsets[pick] - (np.cumsum(pick_counts) - pick_counts), pick_counts)
-            loss, grads = batch_loss_and_gradients(
-                model, rows[np.arange(len(shift)) + shift], pick_counts, targets[pick], axis_weights
+            loss, _ = batch_loss_and_gradients(
+                model, rows[np.arange(len(shift)) + shift], pick_counts, targets[pick], axis_weights, workspace, grad
             )
-            optimiser.step(params, grads)
+            optimiser.step(params, [grad])
             total += loss * len(pick)
-        if not all(np.all(np.isfinite(p)) for p in params):
-            raise TrainingDivergence(epoch)
+        if not np.isfinite(model.flat).all():
+            bad = (name for name, p in zip(model.parameter_names(), model.parameters()) if not np.isfinite(p).all())
+            raise TrainingDivergence(epoch, next(bad))
         history.append(total / n)
     model.metadata.update(
         {

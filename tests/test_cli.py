@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import downwash
+from downwash import cli
 from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, _grid_geometry, main
 from downwash.field import DownwashParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
@@ -117,6 +118,19 @@ def test_train_loss_history_reproducible(tmp_path):
     main(["train", "--config", str(cfg)])
     hist_b = (tmp_path / "run" / "models" / "learnt_nonlinear_loss.csv").read_bytes()
     assert hist_a == hist_b
+
+
+def test_train_reads_each_dataset_once(tmp_path, monkeypatch):
+    cfg = _cfg(tmp_path)
+    main(["gen", "--config", str(cfg)])
+    loads = []
+    real = cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(Path(path).name) or real(path))
+    # single_k1 feeds the grid and both learnt models
+    overrides = ["--set", "models.linear.train_on=[single_k1, leader_follower_k3]"]
+    overrides += ["--set", "models.deepset.train_on=[single_k1, leader_follower_k3]"]
+    assert main(["train", "--config", str(cfg), *overrides]) == EXIT_OK
+    assert sorted(loads) == ["leader_follower_k3.csv", "single_k1.csv"]
 
 
 def test_eval_and_report_outputs(tmp_path):

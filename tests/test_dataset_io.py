@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from downwash.dataset import FormatError, load_dataset, save_dataset, sidecar_path
+from downwash.dataset import FormatError, load_dataset, save_dataset, sidecar_path, write_atomic
 from downwash.field import DownwashParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 
@@ -73,3 +75,17 @@ def test_non_utf8_byte_is_format_error(tmp_path):
     path.write_bytes(blob[:cut] + b"\xff" + blob[cut + 1 :])
     with pytest.raises(FormatError, match="data row 12"):
         load_dataset(path)
+
+
+def test_write_atomic_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_atomic(path, b"old\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_atomic(path, b"new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from downwash.mlp import Adam, Mlp, weighted_mse
+from downwash.mlp import Adam, Mlp, Workspace, weighted_mse
 
 
 def mlp_gradients(net, inputs, targets, axis_weights=None):
@@ -151,3 +151,90 @@ def test_adam_reduces_loss_on_small_problem(rng):
         loss, gw, gb = mlp_gradients(net, x, t)
         opt.step(net.parameters(), [g for pair in zip(gw, gb) for g in pair])
     assert loss < 0.1 * first
+
+
+def allocating_forward_backward(net, x, dy):
+    """The plain expression form of forward_cached and backward: a new array
+    per operation, no workspace and no in-place ufunc."""
+    activations = [x]
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i != last:
+            h = np.tanh(h)
+        activations.append(h)
+    grads, delta = [], dy
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = delta * (1.0 - activations[i + 1] ** 2)
+        grads[:0] = [activations[i].T @ delta, delta.sum(axis=0)]
+        delta = delta @ net.weights[i].T
+    return activations, grads, delta
+
+
+def test_workspace_forward_backward_are_bitwise_the_allocating_form(rng):
+    net = Mlp.initialised([6, 64, 64, 64], rng)
+    workspace = Workspace(net, 768)
+    for m in (768, 5, 0, 300):
+        x = rng.uniform(-1, 1, (m, 6))
+        dy = rng.uniform(-1, 1, (m, 64))
+        acts_ref, grads_ref, dx_ref = allocating_forward_backward(net, x, dy)
+        for ws in (None, workspace):
+            _, acts = net.forward_cached(x, ws)
+            grads_w, grads_b, dx = net.backward(acts, dy, ws)
+            for a, b in zip(acts, acts_ref):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip([g for pair in zip(grads_w, grads_b) for g in pair], grads_ref):
+                assert a.tobytes() == b.tobytes()
+            assert dx.tobytes() == dx_ref.tobytes()
+
+
+def test_parameters_and_gradients_are_views_of_one_vector(rng):
+    net = Mlp.initialised([3, 5, 2], rng)
+    assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.flat)
+    _, acts = net.forward_cached(rng.uniform(-1, 1, (4, 3)))
+    out = np.empty_like(net.flat)
+    grads_w, grads_b, _ = net.backward(acts, rng.uniform(-1, 1, (4, 2)), out=out)
+    assert all(np.shares_memory(g, out) for g in grads_w + grads_b)
+    again = Mlp([3, 5, 2], net.weights, net.biases)
+    assert again.flat.tobytes() == net.flat.tobytes() and not np.shares_memory(again.flat, net.flat)
+
+
+def test_mlp_rejects_parameters_that_do_not_chain(rng):
+    net = Mlp.initialised([3, 5, 2], rng)
+    with pytest.raises(ValueError, match="do not chain"):
+        Mlp([3, 5, 2], net.weights[:1], net.biases[:1])
+    with pytest.raises(ValueError, match="do not chain"):
+        Mlp([3, 4, 2], net.weights, net.biases)
+
+
+def allocating_adam_step(opt, params, grads):
+    """Adam.step as one expression per array, the form the in-place update keeps."""
+    opt.t += 1
+    b1t = 1.0 - opt.beta1**opt.t
+    b2t = 1.0 - opt.beta2**opt.t
+    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        p -= opt.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + opt.epsilon)
+
+
+def test_adam_on_the_flat_vector_is_bitwise_the_per_array_update(rng):
+    net = Mlp.initialised([3, 8, 2], rng)
+    ref = Mlp([3, 8, 2], net.weights, net.biases)
+    opt = Adam([net.flat], learning_rate=3e-2)
+    ref_opt = Adam(ref.parameters(), learning_rate=3e-2)
+    x = rng.uniform(-1, 1, (16, 3))
+    t = rng.uniform(-1, 1, (16, 2))
+    for _ in range(25):
+        out = np.empty_like(net.flat)
+        pred, acts = net.forward_cached(x)
+        net.backward(acts, weighted_mse(pred, t, np.ones(2))[1], out=out)
+        opt.step([net.flat], [out])
+        _, gw, gb = mlp_gradients(ref, x, t)
+        allocating_adam_step(ref_opt, ref.parameters(), [g for pair in zip(gw, gb) for g in pair])
+    assert net.flat.tobytes() == ref.flat.tobytes()

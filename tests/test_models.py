@@ -283,3 +283,33 @@ def test_load_model_rejects_garbage(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a downwash model"):
         load_model(path)
+
+
+@pytest.mark.parametrize("model_cls", [LinearAggModel, DeepSetModel])
+def test_set_network_parameters_are_views_of_its_flat_vector(tmp_path, rng, model_cls):
+    model = model_cls.initialised(rng)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for m in (model, loaded):
+        nets = [m.encoder] + ([m.decoder] if m.decoder is not None else [])
+        arrays = [a for net in nets for a in net.weights + net.biases]
+        assert all(np.shares_memory(a, m.flat) for a in arrays)
+        assert sum(a.size for a in arrays) == m.flat.size
+        assert [p.shape for p in m.parameters()] == [p.shape for net in nets for p in net.parameters()]
+        assert len(m.parameter_names()) == len(m.parameters())
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_failed_save_leaves_the_previous_model_file(tmp_path, rng):
+    model = LinearAggModel.initialised(rng, hidden=(8,))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    model.metadata["bad"] = object()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,12 @@ def test_divergence_detection_reports_epoch():
         with pytest.raises(TrainingDivergence) as err:
             train(model, data, TrainConfig(epochs=5, learning_rate=1e160, seed=3))
     assert err.value.epoch >= 0
+    # it names the first non-finite parameter array, in parameters() order
+    names = model.parameter_names()
+    first_bad = next(n for n, p in zip(names, model.parameters()) if not np.isfinite(p).all())
+    assert err.value.parameter == first_bad
+    assert f"parameter {first_bad} " in str(err.value)
+    assert names[:4] == ["encoder.W0", "encoder.b0", "encoder.W1", "encoder.b1"]
 
 
 def test_noiseless_k1_reaches_regression_baseline():
@@ -174,3 +182,67 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def _deepset(seed=50):
+    return DeepSetModel.initialised(stream(seed), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+
+
+def _ragged_batch(rng, counts):
+    counts = np.asarray(counts)
+    rows = rng.uniform(-1, 1, (int(counts.sum()), 6))
+    return rows, counts, rng.uniform(-1, 1, (len(counts), 6))
+
+
+def test_earlier_gradients_survive_a_later_call(rng):
+    model = _deepset()
+    first = _ragged_batch(rng, [3, 1, 0, 2])
+    weights = np.ones(6)
+    _, grads = batch_loss_and_gradients(model, *first, weights)
+    kept = [g.copy() for g in grads]
+    batch_loss_and_gradients(model, *_ragged_batch(rng, [2, 2, 3, 3, 1]), weights)
+    for g, k in zip(grads, kept):
+        assert g.tobytes() == k.tobytes()
+
+
+def test_predictions_survive_a_later_training_step(rng):
+    model = _deepset()
+    feats = rng.uniform(-1, 1, (8, 3, 6))
+    pred = model.predict_batch(feats)
+    kept = pred.copy()
+    train(model, _merging_k3(samples=5), TrainConfig(epochs=1, seed=3, batch_size=16))
+    assert not np.array_equal(model.predict_batch(feats), kept)  # the step did move the model
+    assert pred.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("model_cls", [LinearAggModel, DeepSetModel])
+def test_a_small_batch_after_a_large_one_sees_no_stale_rows(rng, model_cls):
+    """A workspace filled by a 768-row batch leaks nothing into a later K=0/1 batch."""
+    model = model_cls.initialised(stream(51))
+    fresh = model_cls.initialised(stream(51))
+    workspace = model.workspace(256, 768)
+    weights = rng.uniform(0.5, 2.0, 6)
+    batch_loss_and_gradients(model, *_ragged_batch(rng, [3] * 256), weights, workspace)
+    for counts in ([0, 1, 0, 1, 1], [0, 0], [1]):
+        small = _ragged_batch(rng, counts)
+        loss, grads = batch_loss_and_gradients(model, *small, weights, workspace)
+        ref_loss, ref_grads = batch_loss_and_gradients(fresh, *small, weights)
+        assert loss == ref_loss
+        for g, r in zip(grads, ref_grads):
+            assert g.tobytes() == r.tobytes()
+
+
+def test_training_memory_does_not_grow_with_epochs():
+    """Workspaces are sized once, not per batch shape: the traced peak of 10
+    mixed-K epochs stays within 10 % of the peak of 2."""
+    data = [_merging_k3(samples=20), _k0(n=200)]
+    peaks = []
+    for epochs in (2, 10):
+        model = _deepset()
+        tracemalloc.start()
+        try:
+            train(model, data, TrainConfig(epochs=epochs, seed=7, batch_size=64))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
