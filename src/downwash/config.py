@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import sys
 import typing
 from dataclasses import MISSING, dataclass
@@ -28,6 +29,15 @@ from .formations import Formation, SweepConfig
 from .training import TrainConfig
 
 Oracle = Literal["additive", "merging"]
+
+
+# libyaml's parser where PyYAML was built with it; both give the same
+# documents, the C one about eight times faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The C parser reports text it cannot encode (a lone surrogate from a
+# non-UTF-8 command line) as a UnicodeError, not a YAMLError; a config file
+# that is not UTF-8 fails to decode with one under either parser.
+_YAML_ERRORS = (yaml.YAMLError, UnicodeError)
 
 
 class ConfigError(Exception):
@@ -76,6 +86,12 @@ def _value(tp, value, path: str, base: dict | None = None):
     return value
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """The resolved field annotations of the dataclass ``cls``."""
+    return typing.get_type_hints(cls)
+
+
 def build(cls, mapping, path: str, base: dict | None = None, skip=()):
     """Instantiate the dataclass ``cls`` from the YAML ``mapping`` at ``path``.
 
@@ -87,7 +103,7 @@ def build(cls, mapping, path: str, base: dict | None = None, skip=()):
     the form ``"<field>: ..."`` is reported at ``path.<field>``.
     """
     section = _mapping(mapping, path)
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     kwargs = dict(base or {})
     for f in dataclasses.fields(cls):
         if f.name in skip:
@@ -257,8 +273,8 @@ def apply_override(doc: dict, assignment: str) -> None:
     if not keys:
         raise ConfigError(f"override {assignment!r} has an empty key path")
     try:
-        value = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
+        value = yaml.load(raw, Loader=_LOADER)
+    except _YAML_ERRORS as exc:
         raise ConfigError(f"override {assignment!r}: cannot parse value ({exc})")
     node = doc
     for key in keys[:-1]:
@@ -275,8 +291,8 @@ def load_config(path, overrides=(), seed=None, output_dir=None) -> RunConfig:
     """Read, override and validate a YAML run configuration."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+            doc = yaml.load(fh, Loader=_LOADER)
+    except _YAML_ERRORS as exc:
         raise ConfigError(f"{path}: {exc}")
     doc = _mapping(doc, "config")
     for assignment in overrides:

@@ -90,32 +90,39 @@ def sidecar_path(csv_path) -> Path:
 
 
 def save_dataset(data: Dataset, csv_path) -> None:
-    """Write the CSV file and its JSON sidecar."""
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    """Write the CSV file, then its JSON sidecar, each through
+    :func:`write_atomic`.
+
+    The header records and the column row go through ``csv.writer``.  Each
+    data row is ``time``, the flattened ``states``, ``truth`` and
+    ``measured`` as float ``repr`` cells joined by commas, with ``k`` as an
+    integer cell at column 8 and ``\\r\\n`` at the end.  A float ``repr``
+    never holds a comma, quote or newline, so this is the same bytes as
+    ``csv.writer`` would write for the row.
+    """
     fh = io.StringIO(newline="")
     fh.write(f"# downwash-dataset version={FORMAT_VERSION}\n")
     for key in sorted(data.metadata):
         fh.write(f"# {key}={json.dumps(data.metadata[key], sort_keys=True)}\n")
-    writer = csv.writer(fh)
-    writer.writerow(_columns(data.k))
+    csv.writer(fh).writerow(_columns(data.k))
     k = str(data.k)
-    states = data.states.reshape(len(data), -1)
-    for t, state, truth, measured in zip(
-        data.time.tolist(), states.tolist(), data.truth.tolist(), data.measured.tolist()
-    ):
-        cells = [repr(v) for v in [t, *state, *truth, *measured]]
-        writer.writerow(cells[:8] + [k] + cells[8:])
+    n = len(data)
+    table = np.concatenate([data.time[:, None], data.states.reshape(n, -1), data.truth, data.measured], axis=1)
+    for row in table.tolist():
+        cells = list(map(repr, row))
+        cells.insert(8, k)
+        fh.write(",".join(cells))
+        fh.write("\r\n")
     body = fh.getvalue().encode("utf-8")
-    csv_path.write_bytes(body)
+    write_atomic(csv_path, body)
     doc = {
         "format": "downwash-dataset",
         "version": FORMAT_VERSION,
         "metadata": data.metadata,
-        "rows": len(data),
+        "rows": n,
         "sha256": hashlib.sha256(body).hexdigest(),
     }
-    sidecar_path(csv_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(sidecar_path(csv_path), (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_dataset(csv_path) -> Dataset:

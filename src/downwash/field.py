@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FormationSnapshot, Wrench6
-from .rng import stream
+from .rng import normal_rows
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,11 @@ def aggregate_merging(snap: FormationSnapshot, p: DownwashParams, m: MergeParams
 
 def add_noise(truth: np.ndarray, n: NoiseParams) -> np.ndarray:
     """Wrench batch (m, 6) plus zero-mean Gaussian measurement noise; row i
-    draws from the stream (seed, i)."""
+    draws six standard normals from the stream (seed, i), through
+    :func:`~downwash.rng.normal_rows`, so each row's noise depends only on
+    the seed and its index."""
     scale = np.array([n.sigma_force] * 3 + [n.sigma_torque] * 3)
-    z = np.array([stream(n.seed, i).standard_normal(6) for i in range(len(truth))])
-    return truth + scale * z.reshape(len(truth), 6)
+    return truth + scale * normal_rows(n.seed, len(truth), 6)
 
 
 class AdditiveOracle:

@@ -7,9 +7,11 @@ bit-reproducible.
 
 Parameters are flat: an ``Mlp`` keeps all of them in one float64 vector
 ``flat``, laid out W0, b0, W1, b1, ..., and every weight and bias is a view
-into it.  A model that owns several networks moves them into one vector of
-its own with :meth:`Mlp.rebind`.  Gradients use the same layout, so one Adam
-update covers a whole model.
+into it.  ``weights`` and ``biases`` are tuples of those views, so a layer
+can be written only in place (``net.weights[0][...] = w``), never swapped
+for an array that ``flat`` does not hold.  A model that owns several
+networks moves them into one vector of its own with :meth:`Mlp.rebind`.
+Gradients use the same layout, so one Adam update covers a whole model.
 
 A :class:`Workspace` holds the activation and delta buffers of one network
 for batches of up to a fixed number of rows; its owner (the training loop)
@@ -97,7 +99,7 @@ class Mlp:
 
     def _weights_and_biases(self, flat: np.ndarray):
         views = self.split(flat)
-        return views[0::2], views[1::2]
+        return tuple(views[0::2]), tuple(views[1::2])
 
     def rebind(self, flat: np.ndarray) -> None:
         """Copy the parameters into ``flat`` (same size and layout) and make

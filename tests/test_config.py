@@ -111,6 +111,22 @@ def test_yaml_syntax_error_wrapped(tmp_path):
         load_config(_write(tmp_path, "seed: [unclosed"))
 
 
+def test_text_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(MINIMAL.encode("utf-8") + b"note: \xff\n")
+    with pytest.raises(ConfigError, match="utf-8"):
+        load_config(path)
+    # what a non-UTF-8 command-line byte decodes to
+    with pytest.raises(ConfigError, match="cannot parse value"):
+        apply_override({}, "seed=\udcff")
+
+
+@pytest.mark.parametrize("name", ["configs/default.yaml", "configs/quick.yaml", None])
+def test_chosen_loader_reads_what_the_pure_python_loader_reads(name):
+    text = MINIMAL if name is None else open(name, encoding="utf-8").read()
+    assert yaml.load(text, Loader=config._LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def _config_error(override):
     """The ConfigError message for MINIMAL with one override applied."""
     doc = yaml.safe_load(MINIMAL)

@@ -14,7 +14,7 @@ from downwash.field import (
     make_oracle,
     single_vehicle_wrench,
 )
-from downwash.rng import stream
+from downwash.rng import normal_rows, stream
 
 from conftest import make_state, random_snapshot
 
@@ -241,6 +241,15 @@ def test_add_noise_deterministic_per_stream():
     scale = np.array([n.sigma_force] * 3 + [n.sigma_torque] * 3)
     for i in range(3):
         assert np.array_equal(a[i], scale * stream(99, i).standard_normal(6))
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 + 3])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_normal_rows_match_fresh_streams_bitwise(seed, n):
+    rows = normal_rows(seed, n, 6)
+    ref = np.array([stream(seed, i).standard_normal(6) for i in range(n)]).reshape(n, 6)
+    assert rows.shape == (n, 6)
+    assert rows.tobytes() == ref.tobytes()
 
 
 def test_add_noise_statistics():

@@ -61,18 +61,30 @@ def max_rel_error(analytic, numeric, floor=1e-6):
 
 def test_zero_weight_network_outputs_bias():
     net = Mlp([3, 5, 2])
-    net.biases[-1] = np.array([0.7, -1.1])
+    net.biases[-1][...] = [0.7, -1.1]
     out = net.forward(np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(out, [0.7, -1.1])
 
 
 def test_single_affine_layer_hand_computed():
     net = Mlp([2, 2])
-    net.weights[0] = np.array([[1.0, 2.0], [3.0, 4.0]])
-    net.biases[0] = np.array([0.5, -0.5])
+    net.weights[0][...] = [[1.0, 2.0], [3.0, 4.0]]
+    net.biases[0][...] = [0.5, -0.5]
     out = net.forward(np.array([1.0, -1.0]))
     # y = x @ W + b
     np.testing.assert_allclose(out, [1 * 1 + (-1) * 3 + 0.5, 1 * 2 + (-1) * 4 - 0.5])
+
+
+def test_layers_are_written_in_place_only(rng):
+    net = Mlp.initialised([3, 4, 2], rng)
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((3, 4))
+    with pytest.raises(TypeError):
+        net.biases[1] = np.zeros(2)
+    net.weights[1][...] = 0.0
+    net.biases[1][...] = [0.25, -2.0]
+    np.testing.assert_array_equal(net.flat[-10:], [0.0] * 8 + [0.25, -2.0])
+    np.testing.assert_array_equal(net.forward(np.ones(3)), [0.25, -2.0])
 
 
 def test_forward_matches_independent_reimplementation(rng):
