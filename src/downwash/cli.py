@@ -12,14 +12,12 @@ divergence during training, 5 malformed dataset or model file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
-from .dataset import FormatError, load_dataset, save_dataset, write_atomic
+from .dataset import FormatError, load_dataset, save_dataset, write_csv
 from .evaluate import benchmark, contour_grid, contour_to_csv, slice_profile
 from .field import NoiseParams, make_oracle
 from .formations import generate_sweep
@@ -83,15 +81,6 @@ def _grid_geometry(sweep):
     return ((-half, half), (-half, half)), vertical, len(alts)
 
 
-def _write_loss_history(path: Path, history) -> None:
-    fh = io.StringIO(newline="")
-    writer = csv.writer(fh)
-    writer.writerow(["epoch", "loss"])
-    for epoch, loss in enumerate(history):
-        writer.writerow([str(epoch), repr(float(loss))])
-    write_atomic(path, fh.getvalue().encode("utf-8"))
-
-
 def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     """Fit the naive grid and train both learnt models; returns model paths."""
     base = Path(datasets_dir) if datasets_dir else cfg.output_dir / "datasets"
@@ -110,12 +99,17 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
 
     fit_spec = cfg.dataset_spec(cfg.naive.fit_on)
     lateral, vertical, n_planes = _grid_geometry(fit_spec.sweep)
-    grid = fit_grid(
-        _load(cfg.naive.fit_on),
-        resolution=(*cfg.naive.resolution, n_planes),
-        lateral_bounds=lateral,
-        vertical_bounds=vertical,
-    )
+    fit_data = _load(cfg.naive.fit_on)
+    try:
+        grid = fit_grid(
+            fit_data,
+            resolution=(*cfg.naive.resolution, n_planes),
+            lateral_bounds=lateral,
+            vertical_bounds=vertical,
+        )
+    except ValueError as exc:
+        # a well-formed dataset that another config generated (stale data)
+        raise FormatError(f"{base / f'{cfg.naive.fit_on}.csv'}: cannot fit the naive grid: {exc}") from None
     path = _model_path(cfg, "naive_linear")
     save_model(grid, path)
     print(f"train: naive_linear fitted on {cfg.naive.fit_on} -> {path}")
@@ -138,7 +132,10 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
         model.metadata["trained_on"] = list(settings.train_on)
         path = _model_path(cfg, name)
         save_model(model, path)
-        _write_loss_history(cfg.output_dir / "models" / f"{name}_loss.csv", history)
+        write_csv(
+            cfg.output_dir / "models" / f"{name}_loss.csv",
+            [["epoch", "loss"], *([str(epoch), repr(float(loss))] for epoch, loss in enumerate(history))],
+        )
         final = history[-1] if history else float("nan")
         print(f"train: {name} on {list(settings.train_on)}: final loss {final:.6g} -> {path}")
         paths.append(path)

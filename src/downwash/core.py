@@ -81,8 +81,7 @@ class Wrench6:
     """6-DOF force/torque reading: forces in N, torques in N*m.
 
     Component order is ``WRENCH_AXES``: N/E/D forces, then pitch (about E),
-    roll (about N) and yaw (about D) torques.  Addition is componentwise;
-    the zero wrench is the identity.
+    roll (about N) and yaw (about D) torques.
     """
 
     vec: np.ndarray
@@ -90,16 +89,9 @@ class Wrench6:
     def __post_init__(self):
         object.__setattr__(self, "vec", _frozen_vector(self.vec, 6, "wrench"))
 
-    @classmethod
-    def zero(cls) -> "Wrench6":
-        return cls(np.zeros(6))
-
     @property
     def f_d(self) -> float:
         return float(self.vec[2])
-
-    def __add__(self, other: "Wrench6") -> "Wrench6":
-        return Wrench6(self.vec + other.vec)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Dataset container and on-disk format.
+"""Dataset container, on-disk format and the write path of every output.
+
+This module owns the encoding and the write of every output file: datasets,
+sidecars, model files, loss histories and reports are encoded by
+:func:`save_dataset`, :func:`write_csv` or :func:`write_json` and replaced
+whole by :func:`write_atomic`, so no reader sees a partial file.
 
 A dataset holds n samples sharing one neighbour count K as arrays: ``time``
 (n,), ``states`` (n, K+1, 7) with the sufferer first (see
@@ -49,6 +54,20 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def write_csv(path, rows) -> None:
+    """Write rows of string cells as ``csv.writer`` encodes them, in UTF-8,
+    through :func:`write_atomic`."""
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows(rows)
+    write_atomic(path, fh.getvalue().encode("utf-8"))
+
+
+def write_json(path, doc, indent=None) -> None:
+    """Write ``doc`` as sorted-key JSON and a newline through :func:`write_atomic`;
+    model files are compact, sidecars and error tables use ``indent=2``."""
+    write_atomic(path, (json.dumps(doc, indent=indent, sort_keys=True) + "\n").encode("utf-8"))
+
+
 @dataclass
 class Dataset:
     """Sampled states and wrenches plus the metadata that generated them."""
@@ -90,8 +109,8 @@ def sidecar_path(csv_path) -> Path:
 
 
 def save_dataset(data: Dataset, csv_path) -> None:
-    """Write the CSV file, then its JSON sidecar, each through
-    :func:`write_atomic`.
+    """Write the CSV file through :func:`write_atomic`, then its JSON sidecar
+    through :func:`write_json`.
 
     The header records and the column row go through ``csv.writer``.  Each
     data row is ``time``, the flattened ``states``, ``truth`` and
@@ -122,7 +141,7 @@ def save_dataset(data: Dataset, csv_path) -> None:
         "rows": n,
         "sha256": hashlib.sha256(body).hexdigest(),
     }
-    write_atomic(sidecar_path(csv_path), (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(sidecar_path(csv_path), doc, indent=2)
 
 
 def load_dataset(csv_path) -> Dataset:

@@ -11,19 +11,20 @@ Predictors and the truth are *batch callables*: each maps a feature batch
 oracle instances of :mod:`downwash.field` do.  Every plane, slice and
 contour is one batch built by :func:`downwash.formations.centroid_features`
 and passed to each callable once.
+
+Report files are encoded and written by :func:`downwash.dataset.write_csv`
+and :func:`downwash.dataset.write_json`, so each is replaced whole.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .core import WRENCH_AXES
+from .dataset import write_csv, write_json
 from .formations import Formation, centroid_features
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
@@ -86,13 +87,9 @@ class SliceProfile:
     columns: dict                  # name -> D-force array, truth last
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{self.axis}_position"] + list(self.columns))
-            table = np.column_stack([self.positions, *self.columns.values()])
-            writer.writerows([repr(v) for v in row] for row in table.tolist())
+        table = np.column_stack([self.positions, *self.columns.values()])
+        header = [f"{self.axis}_position", *self.columns]
+        write_csv(path, [header, *(map(repr, row) for row in table.tolist())])
 
 
 def slice_profile(
@@ -149,14 +146,9 @@ def contour_grid(
 
 
 def contour_to_csv(n_axis, e_axis, values, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "e", "f_d"])
-        n, e = np.meshgrid(n_axis, e_axis, indexing="ij")
-        table = np.column_stack([n.ravel(), e.ravel(), np.ravel(values)])
-        writer.writerows([repr(v) for v in row] for row in table.tolist())
+    n, e = np.meshgrid(n_axis, e_axis, indexing="ij")
+    table = np.column_stack([n.ravel(), e.ravel(), np.ravel(values)])
+    write_csv(path, [["n", "e", "f_d"], *(map(repr, row) for row in table.tolist())])
 
 
 @dataclass
@@ -193,23 +185,18 @@ class EvalReport:
                 best["wins"][ax] = True
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = ["formation", "k", "altitude", "model"]
-            header += [f"err_{name}" for name in WRENCH_AXES]
-            header += [f"win_{name}" for name in WRENCH_AXES]
-            writer.writerow(header)
-            for row in self.rows:
-                cells = [row["formation"], str(row["k"]), repr(row["altitude"]), row["model"]]
-                cells += ["" if math.isnan(v) else repr(v) for v in row["errors"]]
-                cells += [str(int(w)) for w in row.get("wins", [False] * 6)]
-                writer.writerow(cells)
+        header = ["formation", "k", "altitude", "model"]
+        header += [f"err_{name}" for name in WRENCH_AXES]
+        header += [f"win_{name}" for name in WRENCH_AXES]
+        lines = [header]
+        for row in self.rows:
+            cells = [row["formation"], str(row["k"]), repr(row["altitude"]), row["model"]]
+            cells += ["" if math.isnan(v) else repr(v) for v in row["errors"]]
+            cells += [str(int(w)) for w in row.get("wins", [False] * 6)]
+            lines.append(cells)
+        write_csv(path, lines)
 
     def to_json(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "config": self.config,
             "axes": list(AXIS_LABELS),
@@ -218,9 +205,7 @@ class EvalReport:
                 for row in self.rows
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc, indent=2)
 
 
 def benchmark(

@@ -180,15 +180,7 @@ def generate_sweep(
         "merge_params": vars(merge).copy() if merge is not None else None,
         "noise_params": {"sigma_force": noise.sigma_force, "sigma_torque": noise.sigma_torque},
         "seed": noise.seed,
-        "sweep": {
-            "lateral_extent": cfg.lateral_extent,
-            "vertical_extent": cfg.vertical_extent,
-            "speed": cfg.speed,
-            "legs": cfg.legs,
-            "samples_per_leg": cfg.samples_per_leg,
-            "spacing": cfg.spacing,
-            "altitudes": list(cfg.altitudes),
-        },
+        "sweep": {**vars(cfg), "altitudes": list(cfg.altitudes)},
     }
     return Dataset(np.tile(times, planes * cfg.legs), states, truth, add_noise(truth, noise), metadata)
 

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FormationSnapshot, Wrench6
-from .dataset import Dataset, FormatError, write_atomic
+from .dataset import Dataset, FormatError, write_json
 from .mlp import Mlp, Workspace
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
@@ -307,7 +307,7 @@ def save_model(model, path) -> None:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     doc["metadata"] = model.metadata
-    write_atomic(path, (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(path, doc)
 
 
 def load_model(path):

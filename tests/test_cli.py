@@ -289,6 +289,35 @@ def test_neighbour_on_the_sufferer_is_format_error(tmp_path, capsys):
     )
 
 
+def _k3_single_k1(text):
+    """The config with ``single_k1`` generated as a K=3 formation and the
+    grid fitted on another (K=1) dataset."""
+    text = text.replace(
+        "name: single_k1, kind: side_by_side, k: 1",
+        "name: single_k1, kind: leader_follower, k: 3, oracle: merging}\n  - {name: grid_k1, kind: side_by_side, k: 1",
+    )
+    return text.replace("fit_on: single_k1", "fit_on: grid_k1")
+
+
+@pytest.mark.parametrize(
+    "stale, overrides, message",
+    [
+        (_k3_single_k1, [], "needs K=1 records, got K=3"),
+        (lambda text: text, ["--set", "sweep.lateral_extent=0.001"], "no samples fall inside the grid bounds"),
+    ],
+    ids=["k3_dataset", "grid_misses_the_samples"],
+)
+def test_stale_grid_dataset_is_format_error(tmp_path, capsys, stale, overrides, message):
+    cfg = _cfg(tmp_path)
+    gen_cfg = tmp_path / "gen.yaml"
+    gen_cfg.write_text(stale(cfg.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["gen", "--config", str(gen_cfg), "--out", str(tmp_path / "stale")]) == EXIT_OK
+    datasets = tmp_path / "stale" / "datasets"
+    assert main(["train", "--config", str(cfg), "--datasets-dir", str(datasets), *overrides]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(datasets / "single_k1.csv") in err and message in err, err
+
+
 def test_grid_geometry_vertical_cells():
     sweep = SweepConfig(altitudes=(0.3, 0.8, 1.3))
     _, vertical, planes = _grid_geometry(sweep)

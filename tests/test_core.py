@@ -55,24 +55,6 @@ def test_canonical_order_sorts_by_d_then_n_e_and_velocity(rng):
         assert sorted(map(tuple, before)) == sorted(map(tuple, after))
 
 
-def test_wrench_add_identity_and_commutativity(rng):
-    zero = Wrench6.zero()
-    for _ in range(100):
-        a = Wrench6(rng.uniform(-10, 10, 6))
-        b = Wrench6(rng.uniform(-10, 10, 6))
-        assert np.array_equal((a + zero).vec, a.vec)
-        assert np.array_equal((a + b).vec, (b + a).vec)
-
-
-def test_wrench_add_associative_to_tolerance(rng):
-    for _ in range(200):
-        a, b, c = (Wrench6(rng.uniform(-100, 100, 6)) for _ in range(3))
-        lhs = ((a + b) + c).vec
-        rhs = (a + (b + c)).vec
-        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
-
-
 def test_wrench_component_accessors():
     w = Wrench6(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     assert WRENCH_AXES == ("f_n", "f_e", "f_d", "t_pitch", "t_roll", "t_yaw")

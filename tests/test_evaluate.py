@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import signal
 
 from downwash.evaluate import (
     EvalReport,
+    SliceProfile,
     benchmark,
     contour_grid,
     contour_to_csv,
@@ -153,6 +156,34 @@ def test_report_files_are_deterministic(tmp_path):
         paths.append((csv_path, json_path))
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+
+def _table(value):
+    return EvalReport(rows=[{"formation": "x", "k": 1, "altitude": 0.8, "model": "m", "errors": [value] * 6}])
+
+
+REPORT_WRITERS = {
+    "slice_csv": lambda path, v: SliceProfile("e", np.zeros(2), {"ground_truth": np.full(2, v)}).to_csv(path),
+    "contour_csv": lambda path, v: contour_to_csv(np.zeros(1), np.zeros(2), np.full((1, 2), v), path),
+    "table_csv": lambda path, v: _table(v).to_csv(path),
+    "table_json": lambda path, v: _table(v).to_json(path),
+}
+
+
+@pytest.mark.parametrize("write", REPORT_WRITERS.values(), ids=REPORT_WRITERS.keys())
+def test_failed_rename_keeps_the_previous_report(tmp_path, monkeypatch, write):
+    path = tmp_path / "report"
+    write(path, 1.0)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write(path, 2.0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
 def test_count_peaks_flat_signal_is_zero():
