@@ -56,19 +56,12 @@ class Mlp:
     affine map.  Parameters are float64 throughout.
     """
 
-    def __init__(self, layer_dims, weights=None, biases=None):
+    def __init__(self, layer_dims):
         if len(layer_dims) < 2:
             raise ValueError("need at least input and output dimensions")
         self.layer_dims = [int(d) for d in layer_dims]
         self.flat = np.zeros(sum(a * b + b for a, b in zip(self.layer_dims, self.layer_dims[1:])))
         self.weights, self.biases = self._weights_and_biases(self.flat)
-        if weights is not None:
-            given = [np.asarray(p, dtype=float) for p in (*weights, *biases)]
-            views = self.weights + self.biases
-            if len(given) != len(views) or any(g.shape != v.shape for g, v in zip(given, views)):
-                raise ValueError(f"parameter shapes do not chain with dims {self.layer_dims}")
-            for view, value in zip(views, given):
-                view[...] = value
 
     @property
     def d_in(self) -> int:

@@ -26,11 +26,22 @@ newly allocated on each call unless the caller passes its own.  Training
 passes a workspace (``workspace(samples, rows)``) that it owns and reuses
 for every step; ``predict_batch`` passes none, so the predictions it returns
 never share memory with a later call.
+
+Model files (:func:`save_model`, format version 2) are sorted-key JSON
+documents whose parameter arrays are the arrays' exact bytes: base64 text of
+little-endian float64 (``"<f8"``).  A network is ``{"dims", "flat"}``, the
+payload in :attr:`Mlp.flat` order (W0, b0, W1, b1, ...); a grid keeps
+``bounds`` and ``shape`` as JSON and its ``values`` as a payload in C order.
+:func:`load_model` requires each payload to hold exactly the number of
+values its dims or shape call for, every one finite, and copies them into
+the model's own arrays; any other file is a ``FormatError`` naming it.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +51,7 @@ from .dataset import Dataset, FormatError, write_json
 from .mlp import Mlp, Workspace
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def segment_sum(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -289,6 +300,13 @@ def fit_grid(
 def save_model(model, path) -> None:
     """Serialize a model to a versioned JSON file (bit-exact round trip).
 
+    Version 2 layout (see the module docstring): parameter arrays are base64
+    text of little-endian float64 (``"<f8"``), each network's :attr:`Mlp.flat`
+    (W0, b0, W1, b1, ...) under ``psi`` or ``phi``/``big_phi`` beside its
+    ``dims``, a grid's ``values`` in C order beside its JSON ``bounds`` and
+    ``shape``.  :func:`load_model` requires each payload to hold exactly the
+    values its dims or shape call for, all finite.
+
     The whole document is encoded first, so a value JSON cannot hold raises
     before the file is touched; the file is then replaced atomically."""
     doc = {"format": "downwash-model", "version": MODEL_FORMAT_VERSION}
@@ -303,7 +321,7 @@ def save_model(model, path) -> None:
         doc["kind"] = "grid"
         doc["bounds"] = [list(b) for b in model.bounds]
         doc["shape"] = list(model.values.shape)
-        doc["values"] = model.values.ravel().tolist()
+        doc["values"] = _encode(model.values)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     doc["metadata"] = model.metadata
@@ -324,7 +342,10 @@ def _model_from_doc(doc: dict):
     if doc.get("format") != "downwash-model":
         raise ValueError("not a downwash model file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')}")
+        raise ValueError(
+            f"model format version {doc.get('version')} is not {MODEL_FORMAT_VERSION};"
+            " re-run 'downwash train' to rewrite the model files"
+        )
     kind = doc.get("kind")
     metadata = doc.get("metadata", {})
     if kind == "linear":
@@ -332,18 +353,36 @@ def _model_from_doc(doc: dict):
     if kind == "deepset":
         return DeepSetModel(_mlp_from_doc(doc["phi"]), _mlp_from_doc(doc["big_phi"]), metadata)
     if kind == "grid":
-        values = np.array(doc["values"], dtype=float).reshape(doc["shape"])
+        shape = doc["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int for n in shape):
+            raise ValueError(f"grid shape {shape!r} is not a list of integers")
+        values = _decode(doc["values"], math.prod(shape)).reshape(shape)
         return GridLookupModel([tuple(b) for b in doc["bounds"]], values, metadata)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+def _encode(values: np.ndarray) -> str:
+    """Base64 text of the little-endian float64 bytes of ``values``, in C order."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(text: str, count: int) -> np.ndarray:
+    """The ``count`` finite values of an :func:`_encode` payload, as a new
+    writable array (never a view of the decoded bytes)."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * count:
+        raise ValueError(f"payload holds {len(raw)} bytes, expected {8 * count} ({count} float64 values)")
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError("payload holds a non-finite value")
+    return values.astype(float)
+
+
 def _mlp_doc(net: Mlp) -> dict:
-    return {
-        "dims": net.layer_dims,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
+    return {"dims": net.layer_dims, "flat": _encode(net.flat)}
 
 
 def _mlp_from_doc(doc: dict) -> Mlp:
-    return Mlp(doc["dims"], weights=doc["weights"], biases=doc["biases"])
+    net = Mlp(doc["dims"])
+    net.flat[...] = _decode(doc["flat"], len(net.flat))
+    return net

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from downwash import cli
 from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, _grid_geometry, main
 from downwash.field import DownwashParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
-from downwash.models import LinearAggModel, fit_grid, load_model, save_model
+from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, fit_grid, load_model, save_model
 from downwash.rng import stream
 
 MINI_CFG = """
@@ -200,6 +201,71 @@ def test_truncated_model_is_format_error(tmp_path, capsys):
     path.write_bytes(path.read_bytes()[:200])
     assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_FORMAT
     assert str(path) in capsys.readouterr().err
+
+
+def _save_models(models_dir) -> dict:
+    """Small valid model files under every name ``eval`` reads; their paths by name."""
+    models = {
+        "naive_linear": GridLookupModel([(-1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)], np.ones((4, 4, 2, 6))),
+        "learnt_linear": LinearAggModel.initialised(stream(0), hidden=(8,)),
+        "learnt_nonlinear": DeepSetModel.initialised(stream(1), embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,)),
+    }
+    paths = {name: models_dir / f"{name}.json" for name in models}
+    for name, model in models.items():
+        save_model(model, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("name", ["naive_linear", "learnt_nonlinear"], ids=["grid_value", "set_network_parameter"])
+def test_non_finite_model_parameter_is_format_error(tmp_path, capsys, name):
+    cfg = _cfg(tmp_path)
+    path = _save_models(tmp_path / "models")[name]
+    assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_OK
+    model = load_model(path)
+    params = model.values if name == "naive_linear" else model.flat
+    params.reshape(-1)[7] = np.nan
+    save_model(model, path)
+    assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_FORMAT
+    assert str(path) in capsys.readouterr().err
+
+
+def _v1_mlp_doc(net) -> dict:
+    """A network as version-1 model files stored it: nested decimal lists."""
+    return {
+        "dims": net.layer_dims,
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+    }
+
+
+def _one_float_short(doc, model):
+    doc["psi"]["flat"] = base64.b64encode(base64.b64decode(doc["psi"]["flat"])[:-8]).decode("ascii")
+
+
+def _outside_the_alphabet(doc, model):
+    # without validation the decoder would drop the "*" and read the payload as intact
+    doc["psi"]["flat"] = doc["psi"]["flat"][:8] + "*" + doc["psi"]["flat"][8:]
+
+
+def _version_1(doc, model):
+    doc["version"] = 1
+    doc["psi"] = _v1_mlp_doc(model.psi)
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [(_one_float_short, "bytes"), (_outside_the_alphabet, ""), (_version_1, "train")],
+    ids=["one_float_short", "outside_the_alphabet", "version_1"],
+)
+def test_malformed_model_payload_is_format_error(tmp_path, capsys, edit, needle):
+    cfg = _cfg(tmp_path)
+    path = _save_models(tmp_path / "models")["learnt_linear"]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc, load_model(path))
+    path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(path) in err and needle in err.replace(str(path), "")
 
 
 def test_zero_contour_resolution_is_config_error(tmp_path, capsys):

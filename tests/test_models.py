@@ -278,6 +278,33 @@ def test_model_serialization_round_trip(tmp_path, rng):
         assert path.read_bytes() == path2.read_bytes()
 
 
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
+
+
+def _params(model) -> np.ndarray:
+    return model.values if isinstance(model, GridLookupModel) else model.flat
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: LinearAggModel.initialised(rng, hidden=(8,)),
+        lambda rng: DeepSetModel.initialised(rng, embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,)),
+        _uniform_grid_model,
+    ],
+    ids=["linear", "deepset", "grid"],
+)
+def test_extreme_values_survive_save_load_save_bitwise(tmp_path, rng, make):
+    model = make(rng)
+    _params(model).reshape(-1)[: len(EXTREMES)] = EXTREMES
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert _params(loaded).tobytes() == _params(model).tobytes()
+    assert np.signbit(_params(loaded).reshape(-1)[0]) and _params(loaded).flags.writeable
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else"}')
