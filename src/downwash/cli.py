@@ -128,7 +128,7 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
             )
         data = [_load(ds) for ds in settings.train_on]
         tcfg = dataclasses.replace(cfg.training, seed=substream_seed(cfg.seed, f"train:{name}"))
-        history, _ = train(model, data, tcfg)
+        history = train(model, data, tcfg)
         model.metadata["trained_on"] = list(settings.train_on)
         path = _model_path(cfg, name)
         save_model(model, path)

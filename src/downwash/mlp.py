@@ -5,13 +5,14 @@ fan_out) matrices so a batch forward is ``x @ W + b``.  The Adam optimizer
 lives here too; both are deliberately dependency-free so training runs are
 bit-reproducible.
 
-Parameters are flat: an ``Mlp`` keeps all of them in one float64 vector
-``flat``, laid out W0, b0, W1, b1, ..., and every weight and bias is a view
-into it.  ``weights`` and ``biases`` are tuples of those views, so a layer
+An ``Mlp`` is one float64 vector ``flat``, laid out W0, b0, W1, b1, ...:
+its own, or a slice of a larger vector passed to the constructor, which is
+how a set network keeps its encoder and decoder in one vector of its own.
+``weights`` and ``biases`` are tuples of views into ``flat``, so a layer
 can be written only in place (``net.weights[0][...] = w``), never swapped
-for an array that ``flat`` does not hold.  A model that owns several
-networks moves them into one vector of its own with :meth:`Mlp.rebind`.
-Gradients use the same layout, so one Adam update covers a whole model.
+for an array that ``flat`` does not hold.  :meth:`Mlp.backward` writes the
+parameter gradient into one vector with the same layout, and :class:`Adam`
+steps one such vector, so one update covers a whole model.
 
 A :class:`Workspace` holds the activation and delta buffers of one network
 for batches of up to a fixed number of rows; its owner (the training loop)
@@ -24,6 +25,11 @@ shared with a later call.
 from __future__ import annotations
 
 import numpy as np
+
+
+def parameter_count(layer_dims) -> int:
+    """The length of ``flat`` for these layer dimensions."""
+    return sum(a * b + b for a, b in zip(layer_dims, layer_dims[1:]))
 
 
 class Workspace:
@@ -53,15 +59,16 @@ class Mlp:
     """Multilayer perceptron defined by its layer dimensions.
 
     ``layer_dims = [d_in, h1, ..., d_out]``; a two-entry list is a single
-    affine map.  Parameters are float64 throughout.
+    affine map.  ``flat`` holds the parameters: a float64 vector of
+    :func:`parameter_count` values, all zero when not given.
     """
 
-    def __init__(self, layer_dims):
+    def __init__(self, layer_dims, flat: np.ndarray | None = None):
         if len(layer_dims) < 2:
             raise ValueError("need at least input and output dimensions")
         self.layer_dims = [int(d) for d in layer_dims]
-        self.flat = np.zeros(sum(a * b + b for a, b in zip(self.layer_dims, self.layer_dims[1:])))
-        self.weights, self.biases = self._weights_and_biases(self.flat)
+        self.flat = np.zeros(parameter_count(self.layer_dims)) if flat is None else flat
+        self.weights, self.biases = self._views(self.flat)
 
     @property
     def d_in(self) -> int:
@@ -81,37 +88,18 @@ class Mlp:
             b[...] = rng.uniform(-bound, bound, size=b.shape)
         return net
 
-    def split(self, flat: np.ndarray) -> list:
-        """Views [W0, b0, W1, b1, ...] of a vector laid out like ``flat``."""
-        views, i = [], 0
+    def _views(self, flat: np.ndarray):
+        """(weights, biases): tuples of views of a vector laid out like ``flat``."""
+        weights, biases, i = [], [], 0
         for din, dout in zip(self.layer_dims, self.layer_dims[1:]):
-            views.append(flat[i : i + din * dout].reshape(din, dout))
-            views.append(flat[i + din * dout : i + din * dout + dout])
+            weights.append(flat[i : i + din * dout].reshape(din, dout))
+            biases.append(flat[i + din * dout : i + din * dout + dout])
             i += din * dout + dout
-        return views
-
-    def _weights_and_biases(self, flat: np.ndarray):
-        views = self.split(flat)
-        return tuple(views[0::2]), tuple(views[1::2])
-
-    def rebind(self, flat: np.ndarray) -> None:
-        """Copy the parameters into ``flat`` (same size and layout) and make
-        every weight and bias a view of it from now on."""
-        weights, biases = self._weights_and_biases(flat)
-        for view, value in zip(weights + biases, self.weights + self.biases):
-            view[...] = value
-        self.flat, self.weights, self.biases = flat, weights, biases
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward_cached(x)
-        return y
+        return tuple(weights), tuple(biases)
 
     def forward_cached(self, x: np.ndarray, workspace: Workspace | None = None):
-        """Forward pass keeping per-layer activations for the backward pass."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
+        """Outputs (m, d_out) of a batch x (m, d_in), and the per-layer
+        activations [x, h1, ..., y] for the backward pass."""
         if x.shape[1] != self.d_in:
             raise ValueError(f"input dim {x.shape[1]} != expected {self.d_in}")
         activations = [x]
@@ -124,51 +112,43 @@ class Mlp:
             if i != last:
                 np.tanh(h, out=h)
             activations.append(h)
-        y = h[0] if squeeze else h
-        return y, activations
+        return h, activations
 
     def backward(self, activations, dy: np.ndarray, workspace: Workspace | None = None, out=None):
         """Backpropagate ``dy`` (m, d_out), the gradient w.r.t. the batch output
         of forward_cached.
 
-        Returns (weight grads, bias grads, gradient w.r.t. the input).  The
-        parameter gradients are views of ``out``, a vector laid out like
-        ``flat``, newly allocated when not given.
+        Returns (parameter gradient, layer-0 delta): the gradient is ``out``,
+        a vector laid out like ``flat`` that is newly allocated when not
+        given; the delta (m, dims[1]) is d loss / d (layer 0's ``x @ W0 + b0``).
+        The input gradient ``delta @ W0.T`` is left to a caller that needs it.
         """
-        grads_w, grads_b = self._weights_and_biases(np.empty(len(self.flat)) if out is None else out)
+        grad = np.empty(len(self.flat)) if out is None else out
+        grads_w, grads_b = self._views(grad)
         m = len(dy)
         delta = dy
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
-            if i != last:
-                # activations[i+1] is tanh(pre); d tanh = 1 - tanh^2.
-                a = activations[i + 1]
-                slope = _take(workspace and workspace.scratch, m, a.shape[1])
-                np.multiply(a, a, out=slope)
-                np.subtract(1.0, slope, out=slope)
-                delta *= slope  # delta is this call's own buffer here
+        for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, delta, out=grads_w[i])
             np.sum(delta, axis=0, out=grads_b[i])
+            if i == 0:
+                break
             w = self.weights[i]
             delta = np.matmul(delta, w.T, out=_take(workspace and workspace.deltas[i], m, w.shape[0]))
-        return grads_w, grads_b, delta
-
-    def parameters(self) -> list:
-        """Flat list of parameter arrays in a defined order (W0, b0, W1, b1, ...)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+            # activations[i] is tanh(pre); d tanh = 1 - tanh^2.
+            a = activations[i]
+            slope = _take(workspace and workspace.scratch, m, a.shape[1])
+            np.multiply(a, a, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope  # delta is this call's own buffer here
+        return grad, delta
 
 
 def weighted_mse(pred: np.ndarray, target: np.ndarray, axis_weights: np.ndarray):
-    """Mean over samples and axes of ``w_a * (pred - target)^2``.
+    """Mean over samples and axes of ``w_a * (pred - target)^2`` for (m, d)
+    batches.
 
     Returns (loss, d loss / d pred).
     """
-    pred = np.atleast_2d(pred)
-    target = np.atleast_2d(target)
     diff = pred - target
     n = diff.shape[0] * diff.shape[1]
     loss = float(np.sum(axis_weights * diff * diff) / n)
@@ -177,41 +157,41 @@ def weighted_mse(pred: np.ndarray, target: np.ndarray, axis_weights: np.ndarray)
 
 
 class Adam:
-    """Standard Adam with bias correction, one slot pair per parameter array.
+    """Standard Adam with bias correction on one parameter vector, such as a
+    model's ``flat``.
 
-    Pass a model's flat parameter vector as the only array to update the
-    whole model in a few array operations.  The moments and two scratch
-    arrays are allocated once; ``step`` updates in place.
+    The moments ``m`` and ``v`` and two scratch vectors are allocated once;
+    ``step`` updates in place, one ufunc at a time.
     """
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, param: np.ndarray, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self.scratch = (np.empty_like(param), np.empty_like(param))
         self.t = 0
 
-    def step(self, params, grads) -> None:
-        """Update ``params`` in place from matching ``grads``."""
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``param`` in place from ``grad``, laid out alike."""
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v, (s, u) in zip(params, grads, self.m, self.v, self.scratch):
-            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), one ufunc at a time
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
-            s *= g
-            v += s
-            np.divide(v, b2t, out=s)
-            np.sqrt(s, out=s)
-            s += self.epsilon
-            np.divide(m, b1t, out=u)
-            u *= self.learning_rate
-            u /= s
-            p -= u
+        m, v, (s, u) = self.m, self.v, self.scratch
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), one ufunc at a time
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s)
+        s *= grad
+        v += s
+        np.divide(v, b2t, out=s)
+        np.sqrt(s, out=s)
+        s += self.epsilon
+        np.divide(m, b1t, out=u)
+        u *= self.learning_rate
+        u /= s
+        param -= u

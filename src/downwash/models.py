@@ -19,22 +19,24 @@ ragged: the neighbour feature rows of all samples stacked sample by sample
 (R, 6), plus each sample's row count (n,), so samples of different K (K=0
 included) mix in one batch with no padding.
 
-A set network keeps all its parameters in one float64 vector ``flat``
-(encoder, then decoder); every weight and bias is a view into it.
-``backward`` returns gradients as views of one vector with the same layout,
-newly allocated on each call unless the caller passes its own.  Training
-passes a workspace (``workspace(samples, rows)``) that it owns and reuses
-for every step; ``predict_batch`` passes none, so the predictions it returns
-never share memory with a later call.
+A set network is one float64 vector ``flat`` (encoder, then decoder); its
+two networks are built on slices of it, and ``named_parameters`` lists every
+weight and bias by name as a view into it.  ``backward`` returns the
+gradient as one vector with the same layout, newly allocated on each call
+unless the caller passes its own.  Training passes a workspace
+(``workspace(samples, rows)``) that it owns and reuses for every step;
+``predict_batch`` passes none, so the predictions it returns never share
+memory with a later call.
 
 Model files (:func:`save_model`, format version 2) are sorted-key JSON
 documents whose parameter arrays are the arrays' exact bytes: base64 text of
 little-endian float64 (``"<f8"``).  A network is ``{"dims", "flat"}``, the
 payload in :attr:`Mlp.flat` order (W0, b0, W1, b1, ...); a grid keeps
 ``bounds`` and ``shape`` as JSON and its ``values`` as a payload in C order.
-:func:`load_model` requires each payload to hold exactly the number of
-values its dims or shape call for, every one finite, and copies them into
-the model's own arrays; any other file is a ``FormatError`` naming it.
+:func:`load_model` requires ``dims`` and ``shape`` to be lists of plain
+positive integers and each payload to hold exactly the number of values
+they call for, every one finite, before it builds a model on the values;
+any other file is a ``FormatError`` naming it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from .core import FormationSnapshot, Wrench6
 from .dataset import Dataset, FormatError, write_json
-from .mlp import Mlp, Workspace
+from .mlp import Mlp, Workspace, parameter_count
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
 MODEL_FORMAT_VERSION = 2
@@ -84,45 +86,33 @@ class _SetNet(_Model):
     module docstring); without a decoder the pooled encoder outputs are the
     prediction.
 
-    All parameters live in one float64 vector ``flat``, encoder first; every
-    weight and bias of both networks is a view into it.
+    The parameters are one float64 vector ``flat``: a copy of the given
+    networks' vectors, encoder first.  :attr:`encoder` and :attr:`decoder`
+    are networks on slices of it, so a gradient laid out like ``flat``
+    splits at ``len(encoder.flat)``.
     """
 
     def __init__(self, encoder: Mlp, decoder: Mlp | None, metadata: dict | None):
         last = decoder or encoder
         if encoder.d_in != FEATURE_DIM or last.d_out != 6 or (decoder and decoder.d_in != encoder.d_out):
             raise ValueError("the set network must chain 6 features -> (embedding ->) 6 wrench components")
-        self.encoder = encoder
-        self.decoder = decoder
+        self.flat = np.concatenate([net.flat for net in (encoder, decoder) if net is not None])
+        split = len(encoder.flat)
+        self.encoder = Mlp(encoder.layer_dims, self.flat[:split])
+        self.decoder = decoder and Mlp(decoder.layer_dims, self.flat[split:])
         self.metadata = metadata or {}
-        self.flat = np.empty(sum(len(net.flat) for net in self._nets()))
-        for net, part in zip(self._nets(), self._parts(self.flat)):
-            net.rebind(part)
 
-    def _nets(self) -> list:
-        return [self.encoder] if self.decoder is None else [self.encoder, self.decoder]
-
-    def _parts(self, flat: np.ndarray) -> list:
-        """A vector laid out like :attr:`flat` cut into one slice per network."""
-        parts, start = [], 0
-        for net in self._nets():
-            parts.append(flat[start : start + len(net.flat)])
-            start += len(net.flat)
-        return parts
-
-    def parameters(self) -> list:
-        """All trainable parameter arrays, encoder first, then the decoder:
-        views of :attr:`flat`."""
-        return [p for net in self._nets() for p in net.parameters()]
-
-    def parameter_names(self) -> list:
-        """Names in :meth:`parameters` order, such as ``encoder.W2``."""
-        return [
-            f"{role}.{kind}{i}"
-            for role, net in zip(("encoder", "decoder"), self._nets())
-            for i in range(len(net.weights))
-            for kind in "Wb"
-        ]
+    def named_parameters(self) -> dict:
+        """Every weight and bias as a view of :attr:`flat`, in its order, by
+        name: ``encoder.W0``, ``encoder.b0``, ``encoder.W1``, ..., then the
+        decoder's."""
+        return {
+            f"{role}.{kind}{i}": view
+            for role, net in (("encoder", self.encoder), ("decoder", self.decoder))
+            if net is not None
+            for i, pair in enumerate(zip(net.weights, net.biases))
+            for kind, view in zip("Wb", pair)
+        }
 
     def workspace(self, samples: int, rows: int) -> tuple:
         """Training buffers for batches of up to ``samples`` samples owning
@@ -143,21 +133,24 @@ class _SetNet(_Model):
         pred, dec_cache = self.decoder.forward_cached(pooled, dec_ws)
         return pred, (counts, enc_cache, dec_cache)
 
-    def backward(self, cache, dpred: np.ndarray, workspace: tuple | None = None, out=None) -> list:
-        """Gradients in :meth:`parameters` order, given d loss / d pred (n, 6):
-        views of ``out``, a vector laid out like :attr:`flat` that is newly
-        allocated when not given, so earlier results are never overwritten."""
+    def backward(self, cache, dpred: np.ndarray, workspace: tuple | None = None, out=None) -> np.ndarray:
+        """The gradient laid out like :attr:`flat`, given d loss / d pred (n, 6):
+        ``out``, or a new vector when not given, so earlier results are never
+        overwritten."""
         counts, enc_cache, dec_cache = cache
         enc_ws, dec_ws = workspace or (None, None)
-        parts = self._parts(np.empty(len(self.flat)) if out is None else out)
+        grad = np.empty(len(self.flat)) if out is None else out
+        split = len(self.encoder.flat)
         if dec_cache is not None:
-            _, _, dpred = self.decoder.backward(dec_cache, dpred, dec_ws, parts[1])
+            _, delta = self.decoder.backward(dec_cache, dpred, dec_ws, grad[split:])
+            dpooled = None if dec_ws is None else dec_ws.delta(0, len(delta))
+            dpred = np.matmul(delta, self.decoder.weights[0].T, out=dpooled)
         # every row of a sample receives that sample's pooled gradient
         sample_of_row = np.repeat(np.arange(len(counts)), counts)
         drows = None if enc_ws is None else enc_ws.delta(-1, len(sample_of_row))
         drows = np.take(dpred, sample_of_row, axis=0, out=drows)
-        self.encoder.backward(enc_cache, drows, enc_ws, parts[0])
-        return [v for net, part in zip(self._nets(), parts) for v in net.split(part)]
+        self.encoder.backward(enc_cache, drows, enc_ws, grad[:split])
+        return grad
 
     def predict_batch(self, feats: np.ndarray) -> np.ndarray:
         m, k, _ = feats.shape
@@ -353,9 +346,7 @@ def _model_from_doc(doc: dict):
     if kind == "deepset":
         return DeepSetModel(_mlp_from_doc(doc["phi"]), _mlp_from_doc(doc["big_phi"]), metadata)
     if kind == "grid":
-        shape = doc["shape"]
-        if not isinstance(shape, list) or not all(type(n) is int for n in shape):
-            raise ValueError(f"grid shape {shape!r} is not a list of integers")
+        shape = _positive_ints(doc["shape"], "grid shape", 1)
         values = _decode(doc["values"], math.prod(shape)).reshape(shape)
         return GridLookupModel([tuple(b) for b in doc["bounds"]], values, metadata)
     raise ValueError(f"unknown model kind {kind!r}")
@@ -382,7 +373,14 @@ def _mlp_doc(net: Mlp) -> dict:
     return {"dims": net.layer_dims, "flat": _encode(net.flat)}
 
 
+def _positive_ints(value, what: str, least: int) -> list:
+    """``value`` if it is a list of at least ``least`` plain positive ints
+    (no bool, no float); a ValueError otherwise."""
+    if not (isinstance(value, list) and len(value) >= least and all(type(n) is int and n > 0 for n in value)):
+        raise ValueError(f"{what} {value!r} is not a list of at least {least} positive integers")
+    return value
+
+
 def _mlp_from_doc(doc: dict) -> Mlp:
-    net = Mlp(doc["dims"])
-    net.flat[...] = _decode(doc["flat"], len(net.flat))
-    return net
+    dims = _positive_ints(doc["dims"], "network dims", 2)
+    return Mlp(dims, _decode(doc["flat"], parameter_count(dims)))

@@ -12,9 +12,9 @@ config.
 ``train`` owns the step's buffers: one model workspace sized for the
 largest possible batch (``batch_size`` samples times the largest K rows),
 sliced to each batch and reused by every step, and one gradient vector laid
-out like ``model.flat``, so Adam updates the whole model as one array.
-Called without them, :func:`batch_loss_and_gradients` allocates, and the
-gradients it returns are never overwritten by a later call.
+out like ``model.flat``, the model's only parameter array, which Adam steps
+as one.  Called without them, :func:`batch_loss_and_gradients` allocates,
+and the gradient it returns is never overwritten by a later call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .rng import stream, substream_seed
 
 class TrainingDivergence(RuntimeError):
     """Raised when a parameter goes non-finite during training; ``parameter``
-    names the first such array, for example ``encoder.W2``."""
+    names the first such array in ``model.flat`` order, for example
+    ``encoder.W2``."""
 
     def __init__(self, epoch: int, parameter: str):
         super().__init__(f"non-finite parameter {parameter} detected after epoch {epoch}")
@@ -85,12 +86,11 @@ def loss_weights_for(targets: np.ndarray, sigma_floor: float = 0.05) -> np.ndarr
 
 
 def batch_loss_and_gradients(model, rows, counts, targets, axis_weights, workspace=None, out=None):
-    """Weighted-MSE loss and exact gradients, in ``model.parameters()`` order,
+    """Weighted-MSE loss and its exact gradient, laid out like ``model.flat``,
     of a ragged batch (see :func:`dataset_arrays`).
 
-    The gradients are views of ``out``, a vector laid out like
-    ``model.flat``, newly allocated when not given; ``workspace`` (from
-    ``model.workspace``) holds the activations and deltas in between.
+    The gradient is ``out``, newly allocated when not given; ``workspace``
+    (from ``model.workspace``) holds the activations and deltas in between.
     """
     pred, cache = model.forward(rows, counts, workspace)
     loss, dpred = weighted_mse(pred, targets, axis_weights)
@@ -99,7 +99,7 @@ def batch_loss_and_gradients(model, rows, counts, targets, axis_weights, workspa
 
 def train(model, data, cfg: TrainConfig):
     """Fit ``model`` in place on the noisy measurements; returns the per-epoch
-    mean loss history and the axis weights used.
+    mean loss history.  The axis weights used go to ``model.metadata``.
 
     Shuffling is driven by a dedicated substream of ``cfg.seed``, so two runs
     with identical config and data produce bitwise-identical parameters.
@@ -113,9 +113,8 @@ def train(model, data, cfg: TrainConfig):
     batch = min(cfg.batch_size, n)
     workspace = model.workspace(batch, min(batch * int(counts.max()), len(rows)))
     grad = np.empty(len(model.flat))
-    params = [model.flat]
     optimiser = Adam(
-        params,
+        model.flat,
         learning_rate=cfg.learning_rate,
         beta1=cfg.beta1,
         beta2=cfg.beta2,
@@ -134,10 +133,10 @@ def train(model, data, cfg: TrainConfig):
             loss, _ = batch_loss_and_gradients(
                 model, rows[np.arange(len(shift)) + shift], pick_counts, targets[pick], axis_weights, workspace, grad
             )
-            optimiser.step(params, [grad])
+            optimiser.step(model.flat, grad)
             total += loss * len(pick)
         if not np.isfinite(model.flat).all():
-            bad = (name for name, p in zip(model.parameter_names(), model.parameters()) if not np.isfinite(p).all())
+            bad = (name for name, p in model.named_parameters().items() if not np.isfinite(p).all())
             raise TrainingDivergence(epoch, next(bad))
         history.append(total / n)
     model.metadata.update(
@@ -151,4 +150,4 @@ def train(model, data, cfg: TrainConfig):
             "training_samples": int(n),
         }
     )
-    return history, axis_weights
+    return history

@@ -252,10 +252,15 @@ def _version_1(doc, model):
     doc["psi"] = _v1_mlp_doc(model.psi)
 
 
+def _fractional_dims(doc, model):
+    # int() would read 8.5 as 8, and the payload does hold the values of [6, 8, 6]
+    doc["psi"]["dims"] = [6, 8.5, 6]
+
+
 @pytest.mark.parametrize(
     "edit, needle",
-    [(_one_float_short, "bytes"), (_outside_the_alphabet, ""), (_version_1, "train")],
-    ids=["one_float_short", "outside_the_alphabet", "version_1"],
+    [(_one_float_short, "bytes"), (_outside_the_alphabet, ""), (_version_1, "train"), (_fractional_dims, "dims")],
+    ids=["one_float_short", "outside_the_alphabet", "version_1", "fractional_dims"],
 )
 def test_malformed_model_payload_is_format_error(tmp_path, capsys, edit, needle):
     cfg = _cfg(tmp_path)

@@ -1,8 +1,12 @@
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from downwash.core import FormationSnapshot
-from downwash.dataset import Dataset
+from downwash.dataset import Dataset, FormatError
 from downwash.field import DownwashParams, NoiseParams, single_vehicle_wrench
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 from downwash.mlp import Mlp
@@ -50,7 +54,7 @@ def test_linear_matches_brute_force_summation(rng):
         snap = random_snapshot(rng, 3)
         brute = np.zeros(6)
         for row in snap.features():
-            brute = brute + model.psi.forward(row)
+            brute = brute + model.psi.forward_cached(row[None])[0][0]
         np.testing.assert_allclose(model.predict(snap).vec, brute, atol=1e-12)
 
 
@@ -67,8 +71,8 @@ def test_deepset_duplicate_neighbour_doubles_embedding(rng):
     model = DeepSetModel.initialised(rng)
     snap1 = random_snapshot(rng, 1)
     snap2 = FormationSnapshot(snap1.sufferer, (snap1.neighbours[0], snap1.neighbours[0]))
-    e1 = segment_sum(model.phi.forward(snap1.features()), np.array([1]))
-    e2 = segment_sum(model.phi.forward(snap2.features()), np.array([2]))
+    e1 = segment_sum(model.phi.forward_cached(snap1.features())[0], np.array([1]))
+    e2 = segment_sum(model.phi.forward_cached(snap2.features())[0], np.array([2]))
     np.testing.assert_allclose(e2, 2 * e1, rtol=1e-12)
     # the decoded output is nonlinear in the embedding, so it does not double
     assert not np.allclose(model.predict(snap2).vec, 2 * model.predict(snap1).vec, rtol=1e-3)
@@ -88,13 +92,13 @@ def test_deepset_affine_composition_closed_form(rng):
 def test_deepset_k0_is_decoder_of_zero(rng):
     model = DeepSetModel.initialised(rng)
     out = model.predict(FormationSnapshot(make_state((0, 0, 0))))
-    np.testing.assert_array_equal(out.vec, model.big_phi.forward(np.zeros(model.phi.d_out)))
+    np.testing.assert_array_equal(out.vec, model.big_phi.forward_cached(np.zeros((1, model.phi.d_out)))[0][0])
 
 
 def test_deepset_k0_forward_is_decoder_of_zero(rng):
     model = DeepSetModel.initialised(rng)
     pred, _ = model.forward(np.zeros((0, 6)), np.zeros(1, dtype=np.int64))
-    np.testing.assert_array_equal(pred[0], model.big_phi.forward(np.zeros(model.phi.d_out)))
+    np.testing.assert_array_equal(pred[0], model.big_phi.forward_cached(np.zeros((1, model.phi.d_out)))[0][0])
 
 
 def test_segment_sum_runs_left_to_right():
@@ -323,8 +327,9 @@ def test_set_network_parameters_are_views_of_its_flat_vector(tmp_path, rng, mode
         arrays = [a for net in nets for a in net.weights + net.biases]
         assert all(np.shares_memory(a, m.flat) for a in arrays)
         assert sum(a.size for a in arrays) == m.flat.size
-        assert [p.shape for p in m.parameters()] == [p.shape for net in nets for p in net.parameters()]
-        assert len(m.parameter_names()) == len(m.parameters())
+        named = m.named_parameters()
+        assert [p.shape for p in named.values()] == [a.shape for net in nets for wb in zip(net.weights, net.biases) for a in wb]
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in named.values()]), m.flat)
     assert loaded.flat.tobytes() == model.flat.tobytes()
     save_model(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
@@ -340,3 +345,27 @@ def test_failed_save_leaves_the_previous_model_file(tmp_path, rng):
         save_model(model, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[6, 8.5, 6], [6, True, 6], [6, 0, 6], [6, -3, 6], "6", [6, [8], 6], [6, 40000, 40000, 6]],
+    ids=["float", "bool", "zero", "negative", "string", "nested_list", "too_large_for_the_payload"],
+)
+def test_malformed_network_dims_are_format_error(tmp_path, rng, dims):
+    """Each dims entry must be a plain positive int, and the payload must hold
+    the values the dims call for; both are checked before a network is built,
+    so the 12 GiB that [6, 40000, 40000, 6] would need is never asked for."""
+    path = tmp_path / "model.json"
+    save_model(LinearAggModel.initialised(rng, hidden=(8,)), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["psi"]["dims"] = dims
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

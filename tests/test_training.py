@@ -53,10 +53,9 @@ def _merging_k3(samples=60):
 def test_zero_learning_rate_leaves_parameters_unchanged():
     data = _merging_k3(samples=10)
     model = LinearAggModel.initialised(stream(4))
-    before = [p.copy() for p in model.parameters()]
+    before = model.flat.copy()
     train(model, data, TrainConfig(epochs=3, learning_rate=0.0, seed=1))
-    for a, b in zip(before, model.parameters()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(before, model.flat)
 
 
 def test_training_is_bitwise_deterministic():
@@ -65,10 +64,9 @@ def test_training_is_bitwise_deterministic():
     params = []
     for _ in range(2):
         model = DeepSetModel.initialised(stream(9), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
-        history, _ = train(model, data, cfg)
-        params.append(([p.copy() for p in model.parameters()], history))
-    for a, b in zip(params[0][0], params[1][0]):
-        assert np.array_equal(a, b)
+        history = train(model, data, cfg)
+        params.append((model.flat.copy(), history))
+    assert np.array_equal(params[0][0], params[1][0])
     assert params[0][1] == params[1][1]
 
 
@@ -87,7 +85,7 @@ def test_set_summation_gradients_match_finite_differences(kind, rng):
     def loss():
         return batch_loss_and_gradients(model, rows, counts, targets, weights)[0]
 
-    numeric = fd_gradients(loss, model.parameters())
+    numeric = fd_gradients(loss, model.flat)
     assert max_rel_error(analytic, numeric) < 1e-4
 
 
@@ -102,7 +100,7 @@ def test_mixed_k_batches_train(rng):
     )
     k3 = _merging_k3(samples=10)
     model = DeepSetModel.initialised(stream(21), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
-    history, _ = train(model, [k1, k3], TrainConfig(epochs=4, seed=6, batch_size=32))
+    history = train(model, [k1, k3], TrainConfig(epochs=4, seed=6, batch_size=32))
     assert len(history) == 4 and np.isfinite(history).all()
     rows, counts, _ = dataset_arrays([k1, k3])
     assert set(counts) == {1, 3} and len(rows) == counts.sum() == len(k1) + 3 * len(k3)
@@ -118,9 +116,9 @@ def _k0(n=20, seed=8):
 @pytest.mark.parametrize("model_cls", [LinearAggModel, DeepSetModel])
 def test_k0_dataset_trains(model_cls):
     model = model_cls.initialised(stream(40))
-    history, _ = train(model, _k0(), TrainConfig(epochs=3, seed=4, batch_size=8))
+    history = train(model, _k0(), TrainConfig(epochs=3, seed=4, batch_size=8))
     assert len(history) == 3 and np.isfinite(history).all()
-    assert all(np.isfinite(p).all() for p in model.parameters())
+    assert np.isfinite(model.flat).all()
 
 
 def test_k0_and_k3_mix_trains():
@@ -128,9 +126,9 @@ def test_k0_and_k3_mix_trains():
     rows, counts, _ = dataset_arrays(data)
     assert set(counts) == {0, 3} and len(rows) == counts.sum()
     model = DeepSetModel.initialised(stream(41), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
-    history, _ = train(model, data, TrainConfig(epochs=3, seed=5, batch_size=16))
+    history = train(model, data, TrainConfig(epochs=3, seed=5, batch_size=16))
     assert len(history) == 3 and np.isfinite(history).all()
-    assert all(np.isfinite(p).all() for p in model.parameters())
+    assert np.isfinite(model.flat).all()
 
 
 def test_divergence_detection_reports_epoch():
@@ -140,12 +138,12 @@ def test_divergence_detection_reports_epoch():
         with pytest.raises(TrainingDivergence) as err:
             train(model, data, TrainConfig(epochs=5, learning_rate=1e160, seed=3))
     assert err.value.epoch >= 0
-    # it names the first non-finite parameter array, in parameters() order
-    names = model.parameter_names()
-    first_bad = next(n for n, p in zip(names, model.parameters()) if not np.isfinite(p).all())
+    # it names the first non-finite parameter array, in model.flat order
+    named = model.named_parameters()
+    first_bad = next(n for n, p in named.items() if not np.isfinite(p).all())
     assert err.value.parameter == first_bad
     assert f"parameter {first_bad} " in str(err.value)
-    assert names[:4] == ["encoder.W0", "encoder.b0", "encoder.W1", "encoder.b1"]
+    assert list(named)[:4] == ["encoder.W0", "encoder.b0", "encoder.W1", "encoder.b1"]
 
 
 def test_noiseless_k1_reaches_regression_baseline():
@@ -163,9 +161,9 @@ def test_deepset_beats_linear_on_merging_formation():
     data = _merging_k3(samples=60)
     cfg = TrainConfig(epochs=100, seed=99)
     linear = LinearAggModel.initialised(stream(1))
-    linear_history, _ = train(linear, data, cfg)
+    linear_history = train(linear, data, cfg)
     deepset = DeepSetModel.initialised(stream(2))
-    deepset_history, _ = train(deepset, data, cfg)
+    deepset_history = train(deepset, data, cfg)
     assert deepset_history[-1] < linear_history[-1]
 
 
@@ -198,11 +196,10 @@ def test_earlier_gradients_survive_a_later_call(rng):
     model = _deepset()
     first = _ragged_batch(rng, [3, 1, 0, 2])
     weights = np.ones(6)
-    _, grads = batch_loss_and_gradients(model, *first, weights)
-    kept = [g.copy() for g in grads]
+    _, grad = batch_loss_and_gradients(model, *first, weights)
+    kept = grad.copy()
     batch_loss_and_gradients(model, *_ragged_batch(rng, [2, 2, 3, 3, 1]), weights)
-    for g, k in zip(grads, kept):
-        assert g.tobytes() == k.tobytes()
+    assert grad.tobytes() == kept.tobytes()
 
 
 def test_predictions_survive_a_later_training_step(rng):
@@ -225,11 +222,10 @@ def test_a_small_batch_after_a_large_one_sees_no_stale_rows(rng, model_cls):
     batch_loss_and_gradients(model, *_ragged_batch(rng, [3] * 256), weights, workspace)
     for counts in ([0, 1, 0, 1, 1], [0, 0], [1]):
         small = _ragged_batch(rng, counts)
-        loss, grads = batch_loss_and_gradients(model, *small, weights, workspace)
-        ref_loss, ref_grads = batch_loss_and_gradients(fresh, *small, weights)
+        loss, grad = batch_loss_and_gradients(model, *small, weights, workspace)
+        ref_loss, ref_grad = batch_loss_and_gradients(fresh, *small, weights)
         assert loss == ref_loss
-        for g, r in zip(grads, ref_grads):
-            assert g.tobytes() == r.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_training_memory_does_not_grow_with_epochs():
