@@ -16,10 +16,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, altitude_tag, load_config
 from .dataset import FormatError, load_dataset, save_dataset, write_csv
 from .evaluate import benchmark, contour_grid, contour_to_csv, slice_profile
-from .field import NoiseParams, make_oracle
+from .field import make_oracle
 from .formations import generate_sweep
 from .models import DeepSetModel, LinearAggModel, fit_grid, load_model, save_model
 from .rng import stream, substream_seed
@@ -46,11 +46,7 @@ def cmd_gen(cfg: RunConfig) -> list:
     """Generate every configured dataset; returns the CSV paths."""
     paths = []
     for spec in cfg.datasets:
-        noise = NoiseParams(
-            sigma_force=cfg.sigma_force,
-            sigma_torque=cfg.sigma_torque,
-            seed=substream_seed(cfg.seed, f"dataset:{spec.name}"),
-        )
+        noise = dataclasses.replace(cfg.noise, seed=substream_seed(cfg.seed, f"dataset:{spec.name}"))
         data = generate_sweep(
             spec.formation,
             spec.sweep,
@@ -115,17 +111,13 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     print(f"train: naive_linear fitted on {cfg.naive.fit_on} -> {path}")
     paths.append(path)
 
-    for name, settings in (("learnt_linear", cfg.linear), ("learnt_nonlinear", cfg.deepset)):
-        rng = stream(substream_seed(cfg.seed, f"init:{name}"))
-        if name == "learnt_linear":
-            model = LinearAggModel.initialised(rng, hidden=settings.hidden)
-        else:
-            model = DeepSetModel.initialised(
-                rng,
-                embed_dim=settings.embed_dim,
-                phi_hidden=settings.phi_hidden,
-                decoder_hidden=settings.decoder_hidden,
-            )
+    for name, cls, settings in (
+        ("learnt_linear", LinearAggModel, cfg.linear),
+        ("learnt_nonlinear", DeepSetModel, cfg.deepset),
+    ):
+        # the settings fields other than train_on are the initialised() keywords
+        architecture = {key: value for key, value in vars(settings).items() if key != "train_on"}
+        model = cls.initialised(stream(substream_seed(cfg.seed, f"init:{name}")), **architecture)
         data = [_load(ds) for ds in settings.train_on]
         tcfg = dataclasses.replace(cfg.training, seed=substream_seed(cfg.seed, f"train:{name}"))
         history = train(model, data, tcfg)
@@ -177,10 +169,6 @@ def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
     return [csv_path, json_path]
 
 
-def _alt_tag(altitude: float) -> str:
-    return f"{altitude:g}".replace(".", "p")
-
-
 def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Export plottable slice-profile and contour CSVs."""
     models = _load_models(cfg, models_dir)
@@ -190,7 +178,7 @@ def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
     paths = []
     for formation in cfg.evaluation.formations:
         for altitude in cfg.evaluation.altitudes:
-            tag = f"{formation.label()}_{_alt_tag(altitude)}"
+            tag = f"{formation.label()}_{altitude_tag(altitude)}"
             prof = slice_profile(
                 predictors,
                 truth,

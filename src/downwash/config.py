@@ -6,7 +6,9 @@ The schema is the dataclass fields.  Each YAML section is built by
 ``TrainConfig``, ``Formation`` and the settings classes below): keys are the
 field names, defaults are the field defaults, and range checks live in each
 class's ``__post_init__``.  Unknown keys are rejected with the offending path
-in the message so typos cannot silently change an experiment.  All
+in the message so typos cannot silently change an experiment.  Report files
+are named from ``Formation.label()`` and :func:`altitude_tag`, so no two
+``eval.formations`` may share a label and no two ``eval.altitudes`` a tag.  All
 randomness derives from the one global seed through named substreams
 (dataset:<name>, init:<model>, train:<model>).
 """
@@ -142,7 +144,7 @@ class NaiveSettings:
 @dataclass(frozen=True)
 class LinearSettings:
     train_on: tuple[str, ...] = ("single_k1",)
-    hidden: tuple[int, ...] = (64, 64)       # psi hidden sizes
+    hidden: tuple[int, ...] = (64, 64)       # encoder hidden sizes
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,18 @@ class EvalSettings:
                 raise ValueError(f"{name}: must be >= 2")
 
 
+def altitude_tag(altitude: float) -> str:
+    """An evaluation altitude as report file names spell it: 1.3 -> ``1p3``."""
+    return f"{altitude:g}".replace(".", "p")
+
+
 @dataclass
 class RunConfig:
     seed: int
     output_dir: Path
     field_params: DownwashParams
     merge_params: MergeParams
-    sigma_force: float
-    sigma_torque: float
+    noise: NoiseParams
     sweep: SweepConfig
     datasets: list
     training: TrainConfig
@@ -219,6 +225,7 @@ def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed YAML document into a RunConfig."""
     root = _mapping(doc, "config")
     sweep = build(SweepConfig, root.pop("sweep", None), "sweep")
+    # cmd_gen derives each dataset's noise seed from the global one.
     noise = build(NoiseParams, root.pop("noise", None), "noise", skip=("seed",))
 
     datasets = []
@@ -242,8 +249,7 @@ def parse_config(doc: dict) -> RunConfig:
         output_dir=_value(Path, root.pop("output_dir", "runs/out"), "output_dir"),
         field_params=build(DownwashParams, root.pop("field", None), "field"),
         merge_params=build(MergeParams, root.pop("merge", None), "merge"),
-        sigma_force=noise.sigma_force,
-        sigma_torque=noise.sigma_torque,
+        noise=noise,
         sweep=sweep,
         datasets=datasets,
         # cmd_train derives each model's seed from the global one.
@@ -261,6 +267,13 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(
                 f"models.naive.fit_on: the grid baseline needs a k=1 dataset, {spec.name!r} has k={spec.formation.k}"
             )
+    for key, tags in (
+        ("formations", [formation.label() for formation in cfg.evaluation.formations]),
+        ("altitudes", [altitude_tag(altitude) for altitude in cfg.evaluation.altitudes]),
+    ):
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ConfigError(f"eval.{key}[{i}]: report name {tag!r} repeats eval.{key}[{tags.index(tag)}]")
     return cfg
 
 

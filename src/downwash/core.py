@@ -89,10 +89,6 @@ class Wrench6:
     def __post_init__(self):
         object.__setattr__(self, "vec", _frozen_vector(self.vec, 6, "wrench"))
 
-    @property
-    def f_d(self) -> float:
-        return float(self.vec[2])
-
 
 @dataclass(frozen=True)
 class FormationSnapshot:
@@ -112,10 +108,6 @@ class FormationSnapshot:
                 raise ValueError(
                     f"neighbour {idx} coincides with the sufferer (separation {sep:.2e} m)"
                 )
-
-    @property
-    def k(self) -> int:
-        return len(self.neighbours)
 
     def states(self) -> np.ndarray:
         """State rows (K+1, 7): the sufferer, then the neighbours in listed order."""

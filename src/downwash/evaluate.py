@@ -8,9 +8,12 @@ are reported as not-applicable (NaN) instead of dividing by zero.
 
 Predictors and the truth are *batch callables*: each maps a feature batch
 (m, K, 6) to a wrench batch (m, 6), as ``model.predict_batch`` and the
-oracle instances of :mod:`downwash.field` do.  Every plane, slice and
-contour is one batch built by :func:`downwash.formations.centroid_features`
-and passed to each callable once.
+functions that :func:`downwash.field.make_oracle` returns do.  Every plane,
+slice and contour is one batch built by
+:func:`downwash.formations.centroid_features` and passed to each callable once.
+
+:func:`benchmark` marks each plane's winners where it computes that plane's
+errors: on each axis, the first model with the lowest finite error wins.
 
 Report files are encoded and written by :func:`downwash.dataset.write_csv`
 and :func:`downwash.dataset.write_json`, so each is replaced whole.
@@ -25,18 +28,14 @@ import numpy as np
 
 from .core import WRENCH_AXES
 from .dataset import write_csv, write_json
-from .formations import Formation, centroid_features
+from .formations import Formation, centroid_features, midpoints
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
 
 
-def _midpoints(extent: float, resolution: int) -> np.ndarray:
-    return -extent / 2.0 + (np.arange(resolution) + 0.5) * (extent / resolution)
-
-
 def _plane(formation: Formation, altitude: float, extent: float, resolution: int, speed: float):
     """The midpoint lateral grid axis and its feature batch (resolution**2, K, 6), n-major."""
-    axis = _midpoints(extent, resolution)
+    axis = midpoints(extent, resolution)
     n, e = np.meshgrid(axis, axis, indexing="ij")
     centroids = np.stack([n.ravel(), e.ravel()], axis=-1)
     return axis, centroid_features(formation, centroids, altitude, speed)
@@ -158,32 +157,6 @@ class EvalReport:
     rows: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
-    def add(self, formation: Formation, altitude: float, model_name: str, errors: np.ndarray):
-        self.rows.append(
-            {
-                "formation": formation.label(),
-                "k": formation.k,
-                "altitude": float(altitude),
-                "model": model_name,
-                "errors": [float(v) for v in errors],
-            }
-        )
-
-    def mark_winners(self) -> None:
-        """Flag the lowest-error model per (formation, altitude, axis)."""
-        groups = {}
-        for row in self.rows:
-            groups.setdefault((row["formation"], row["altitude"]), []).append(row)
-        for rows in groups.values():
-            for row in rows:
-                row["wins"] = [False] * 6
-            for ax in range(6):
-                cands = [r for r in rows if not math.isnan(r["errors"][ax])]
-                if not cands:
-                    continue
-                best = min(cands, key=lambda r: r["errors"][ax])
-                best["wins"][ax] = True
-
     def to_csv(self, path) -> None:
         header = ["formation", "k", "altitude", "model"]
         header += [f"err_{name}" for name in WRENCH_AXES]
@@ -231,7 +204,14 @@ def benchmark(
         for altitude in altitudes:
             feats = _error_plane(formation, altitude, extent, resolution, speed)
             expected = truth(feats)
+            plane = {"formation": formation.label(), "k": formation.k, "altitude": float(altitude)}
+            rows = []
             for name, predictor in models.items():
-                report.add(formation, altitude, name, _relative_error(predictor(feats), expected))
-    report.mark_winners()
+                errors = [float(v) for v in _relative_error(predictor(feats), expected)]
+                rows.append({**plane, "model": name, "errors": errors, "wins": [False] * 6})
+            for ax in range(6):
+                finite = [row for row in rows if math.isfinite(row["errors"][ax])]
+                if finite:
+                    min(finite, key=lambda row: row["errors"][ax])["wins"][ax] = True
+            report.rows += rows
     return report

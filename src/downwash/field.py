@@ -12,12 +12,13 @@ Both rules map a feature batch (m, K, 6) to a wrench batch (m, 6) (see
 Like the models, they take the batch in canonical order, as
 ``core.relative_features`` and ``formations.centroid_features`` build it;
 that order alone makes their sums independent of how the neighbours were
-listed.  The oracle classes are the batch callables that generation and
-evaluation take.
+listed.  :func:`make_oracle` binds a rule's parameters and returns the batch
+function itself, the callable that generation and evaluation take.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,33 +213,11 @@ def add_noise(truth: np.ndarray, n: NoiseParams) -> np.ndarray:
     return truth + scale * normal_rows(n.seed, len(truth), 6)
 
 
-class AdditiveOracle:
-    """Batch callable, feature batch (m, K, 6) -> wrench batch (m, 6), of
-    :func:`additive_batch`."""
-
-    def __init__(self, params: DownwashParams):
-        self.params = params
-
-    def __call__(self, feats: np.ndarray) -> np.ndarray:
-        return additive_batch(feats, self.params)
-
-
-class MergingOracle:
-    """Batch callable, feature batch (m, K, 6) -> wrench batch (m, 6), of
-    :func:`merging_batch`."""
-
-    def __init__(self, params: DownwashParams, merge: MergeParams):
-        self.params = params
-        self.merge = merge
-
-    def __call__(self, feats: np.ndarray) -> np.ndarray:
-        return merging_batch(feats, self.params, self.merge)
-
-
 def make_oracle(kind: str, params: DownwashParams, merge: MergeParams | None = None):
-    """Oracle factory used by dataset generation and the CLI."""
+    """The ``kind`` rule's batch function with its parameters bound (``merge``
+    defaults to ``MergeParams()``), as dataset generation and the CLI take it."""
     if kind == "additive":
-        return AdditiveOracle(params)
+        return functools.partial(additive_batch, p=params)
     if kind == "merging":
-        return MergingOracle(params, merge if merge is not None else MergeParams())
+        return functools.partial(merging_batch, p=params, m=merge or MergeParams())
     raise ValueError(f"unknown oracle kind {kind!r} (expected 'additive' or 'merging')")

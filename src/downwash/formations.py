@@ -44,9 +44,6 @@ class Formation:
     def __post_init__(self):
         formation_offsets(self.kind, self.k, self.spacing)  # validates kind, k and spacing
 
-    def offsets(self) -> np.ndarray:
-        return formation_offsets(self.kind, self.k, self.spacing)
-
     def label(self) -> str:
         return f"{self.kind.value}_k{self.k}"
 
@@ -115,10 +112,10 @@ def formation_states(formation: Formation, centroids, altitude, speed: float = 0
     centroid (m, 2) at D = -altitude, moving along +E at ``speed``.
 
     ``altitude`` is a scalar or one value per centroid.  The sufferer rests
-    at the origin; neighbours are listed in ``formation.offsets()`` order.
+    at the origin; neighbours are listed in :func:`formation_offsets` order.
     """
     centroids = np.asarray(centroids, dtype=float)
-    offsets = formation.offsets()
+    offsets = formation_offsets(formation.kind, formation.k, formation.spacing)
     states = np.zeros((len(centroids), formation.k + 1, 7))
     states[:, 1:, :2] = centroids[:, None, :] + offsets[:, :2]
     states[:, 1:, 2] = -np.reshape(altitude, (-1, 1)) + offsets[:, 2]
@@ -131,9 +128,10 @@ def centroid_features(formation: Formation, centroids, altitude, speed: float = 
     return relative_features(formation_states(formation, centroids, altitude, speed))
 
 
-def _leg_positions(extent: float, legs: int) -> np.ndarray:
-    # Midpoint grid: legs=1 flies straight over the centre.
-    return -extent / 2.0 + (np.arange(legs) + 0.5) * (extent / legs)
+def midpoints(extent: float, count: int) -> np.ndarray:
+    """Centres of ``count`` equal cells across [-extent/2, extent/2] (the leg
+    positions and evaluation grid axes); legs=1 flies straight over the centre."""
+    return -extent / 2.0 + (np.arange(count) + 0.5) * (extent / count)
 
 
 def generate_sweep(
@@ -161,7 +159,7 @@ def generate_sweep(
         times = np.arange(cfg.samples_per_leg) * (duration / (cfg.samples_per_leg - 1))
     else:
         times = np.zeros(1)
-    leg_ns = _leg_positions(cfg.lateral_extent, cfg.legs)
+    leg_ns = midpoints(cfg.lateral_extent, cfg.legs)
     # one plane of centroids, leg-major; the planes stacked in altitude order
     plane = np.stack(np.broadcast_arrays(leg_ns[:, None], -half + cfg.speed * times), axis=-1)
     plane = plane.reshape(-1, 2)

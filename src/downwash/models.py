@@ -19,20 +19,22 @@ ragged: the neighbour feature rows of all samples stacked sample by sample
 (R, 6), plus each sample's row count (n,), so samples of different K (K=0
 included) mix in one batch with no padding.
 
-A set network is one float64 vector ``flat`` (encoder, then decoder); its
-two networks are built on slices of it, and ``named_parameters`` lists every
-weight and bias by name as a view into it.  ``backward`` returns the
-gradient as one vector with the same layout, newly allocated on each call
-unless the caller passes its own.  Training passes a workspace
-(``workspace(samples, rows)``) that it owns and reuses for every step;
-``predict_batch`` passes none, so the predictions it returns never share
-memory with a later call.
+A set network is one float64 vector ``flat``: the per-neighbour
+``encoder``, then the deep set's ``decoder``.  Both networks are built on
+slices of it, and ``named_parameters`` lists every weight and bias by name
+as a view into it.  ``backward`` returns the gradient as one vector with the
+same layout, newly allocated on each call unless the caller passes its own.
+Training passes a workspace (``workspace(samples, rows)``) that it owns and
+reuses for every step; ``predict_batch`` passes none, so the predictions it
+returns never share memory with a later call.
 
 Model files (:func:`save_model`, format version 2) are sorted-key JSON
 documents whose parameter arrays are the arrays' exact bytes: base64 text of
 little-endian float64 (``"<f8"``).  A network is ``{"dims", "flat"}``, the
-payload in :attr:`Mlp.flat` order (W0, b0, W1, b1, ...); a grid keeps
-``bounds`` and ``shape`` as JSON and its ``values`` as a payload in C order.
+payload in :attr:`Mlp.flat` order (W0, b0, W1, b1, ...), under the keys
+``psi`` (a linear model's encoder) or ``phi`` and ``big_phi`` (a deep set's
+encoder and decoder); a grid keeps ``bounds`` and ``shape`` as JSON and its
+``values`` as a payload in C order.
 :func:`load_model` requires ``dims`` and ``shape`` to be lists of plain
 positive integers and each payload to hold exactly the number of values
 they call for, every one finite, before it builds a model on the values;
@@ -161,10 +163,8 @@ class LinearAggModel(_SetNet):
     """Learnt linear aggregation: summed per-neighbour wrench predictions,
     i.e. the set network without a decoder."""
 
-    psi = property(lambda self: self.encoder)
-
-    def __init__(self, psi: Mlp, metadata: dict | None = None):
-        super().__init__(psi, None, metadata)
+    def __init__(self, encoder: Mlp, metadata: dict | None = None):
+        super().__init__(encoder, None, metadata)
 
     @classmethod
     def initialised(cls, rng, hidden=(64, 64)) -> "LinearAggModel":
@@ -174,17 +174,14 @@ class LinearAggModel(_SetNet):
 class DeepSetModel(_SetNet):
     """Sum-pooled set network: decode(sum(embed(neighbour)))."""
 
-    phi = property(lambda self: self.encoder)
-    big_phi = property(lambda self: self.decoder)
-
-    def __init__(self, phi: Mlp, big_phi: Mlp, metadata: dict | None = None):
-        super().__init__(phi, big_phi, metadata)
+    def __init__(self, encoder: Mlp, decoder: Mlp, metadata: dict | None = None):
+        super().__init__(encoder, decoder, metadata)
 
     @classmethod
     def initialised(cls, rng, embed_dim=64, phi_hidden=(64, 64), decoder_hidden=(64,)) -> "DeepSetModel":
-        phi = Mlp.initialised([FEATURE_DIM, *phi_hidden, embed_dim], rng)
-        big_phi = Mlp.initialised([embed_dim, *decoder_hidden, 6], rng)
-        return cls(phi, big_phi)
+        encoder = Mlp.initialised([FEATURE_DIM, *phi_hidden, embed_dim], rng)
+        decoder = Mlp.initialised([embed_dim, *decoder_hidden, 6], rng)
+        return cls(encoder, decoder)
 
 
 class GridLookupModel(_Model):
@@ -305,11 +302,11 @@ def save_model(model, path) -> None:
     doc = {"format": "downwash-model", "version": MODEL_FORMAT_VERSION}
     if isinstance(model, LinearAggModel):
         doc["kind"] = "linear"
-        doc["psi"] = _mlp_doc(model.psi)
+        doc["psi"] = _mlp_doc(model.encoder)
     elif isinstance(model, DeepSetModel):
         doc["kind"] = "deepset"
-        doc["phi"] = _mlp_doc(model.phi)
-        doc["big_phi"] = _mlp_doc(model.big_phi)
+        doc["phi"] = _mlp_doc(model.encoder)
+        doc["big_phi"] = _mlp_doc(model.decoder)
     elif isinstance(model, GridLookupModel):
         doc["kind"] = "grid"
         doc["bounds"] = [list(b) for b in model.bounds]

@@ -21,11 +21,10 @@ from downwash.evaluate import (
     slice_profile,
 )
 from downwash.field import (
-    AdditiveOracle,
     DownwashParams,
     MergeParams,
-    MergingOracle,
     NoiseParams,
+    make_oracle,
 )
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, fit_grid
@@ -149,7 +148,7 @@ def test_criterion_4_additive_regime():
         lateral_bounds=((-1.0, 1.0), (-1.0, 1.0)),
         vertical_bounds=(-1.55, -0.05),
     )
-    err = integrated_plane_error(naive.predict_batch, AdditiveOracle(P), LF3, 0.3, resolution=64)
+    err = integrated_plane_error(naive.predict_batch, make_oracle("additive", P), LF3, 0.3, resolution=64)
     elapsed = time.perf_counter() - start
     assert err[2] < 0.10
     assert elapsed < 300.0
@@ -162,7 +161,7 @@ def test_criterion_4_additive_regime():
 def nonlinear_pipeline():
     """Full merging-regime pipeline: generate, fit, train, evaluate."""
     start = time.perf_counter()
-    truth = MergingOracle(P, M)
+    truth = make_oracle("merging", P, M)
 
     def noise(tag):
         return NoiseParams(seed=substream_seed(SEED, tag))
@@ -233,8 +232,8 @@ def test_criterion_5b_peak_structure(nonlinear_pipeline):
 # -------------------------------------------------------------- criterion 6
 
 def test_criterion_6_altitude_trend():
-    truth = MergingOracle(P, M)
-    additive = AdditiveOracle(P)
+    truth = make_oracle("merging", P, M)
+    additive = make_oracle("additive", P)
     gaps = [
         integrated_plane_error(additive, truth, LF3, altitude, resolution=32)[2]
         for altitude in (0.3, 0.8, 1.3)
@@ -248,7 +247,7 @@ def test_criterion_6_altitude_trend():
 def test_criterion_7_single_vehicle_column_width():
     radii = {}
     for altitude in (0.3, 0.8, 1.3):
-        _, _, values = contour_grid(AdditiveOracle(P), K1, altitude, resolution=128)
+        _, _, values = contour_grid(make_oracle("additive", P), K1, altitude, resolution=128)
         cell_area = (2.0 / 128) ** 2
         area = np.count_nonzero(values >= 0.5 * values.max()) * cell_area
         radii[altitude] = float(np.sqrt(area / np.pi))
@@ -316,7 +315,7 @@ def test_criterion_9_generalization_probe():
     deepset = DeepSetModel.initialised(stream(substream_seed(SEED, "gen-init-ds")))
     train(deepset, data, tcfg)
 
-    truth = MergingOracle(P, M)
+    truth = make_oracle("merging", P, M)
     err_linear = integrated_plane_error(linear.predict_batch, truth, LF4, 1.3, resolution=32)
     err_deepset = integrated_plane_error(deepset.predict_batch, truth, LF4, 1.3, resolution=32)
     assert np.all(np.isfinite(err_linear[:5])) and np.all(np.isfinite(err_deepset[:5]))

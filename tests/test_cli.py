@@ -249,7 +249,7 @@ def _outside_the_alphabet(doc, model):
 
 def _version_1(doc, model):
     doc["version"] = 1
-    doc["psi"] = _v1_mlp_doc(model.psi)
+    doc["psi"] = _v1_mlp_doc(model.encoder)
 
 
 def _fractional_dims(doc, model):
@@ -277,6 +277,13 @@ def test_zero_contour_resolution_is_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     assert main(["report", "--config", str(cfg), "--set", "eval.contour_resolution=0"]) == EXIT_CONFIG
     assert "eval.contour_resolution" in capsys.readouterr().err
+
+
+def test_colliding_report_names_are_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    assert main(["report", "--config", str(cfg), "--set", "eval.altitudes=[1.3, 1.3000001]"]) == EXIT_CONFIG
+    assert "eval.altitudes[1]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_import_loads_no_scipy():

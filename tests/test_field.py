@@ -194,7 +194,7 @@ def test_merging_concentrates_force_at_cluster_centre():
     # merged field must peak higher than the additive one and fall below it
     # at the formation edges.
     es = np.linspace(-1.0, 1.0, 401)
-    merged = np.array([aggregate_merging(_leader_follower_snap(e), P, M).f_d for e in es])
+    merged = np.array([aggregate_merging(_leader_follower_snap(e), P, M).vec[F_D] for e in es])
     additive = np.array([aggregate_additive(_leader_follower_snap(e), P)[F_D] for e in es])
     assert merged.max() > additive.max()
     # at the edge-column positions the additive model sees full columns
@@ -222,7 +222,7 @@ def test_merging_rotational_symmetry(rng):
         [w1.vec[F_N], w1.vec[F_E]],
         atol=1e-9,
     )
-    np.testing.assert_allclose(w0.f_d, w1.f_d, rtol=1e-9)
+    np.testing.assert_allclose(w0.vec[F_D], w1.vec[F_D], rtol=1e-9)
 
 
 def test_add_noise_zero_sigma_is_identity(rng):

@@ -54,7 +54,7 @@ def test_linear_matches_brute_force_summation(rng):
         snap = random_snapshot(rng, 3)
         brute = np.zeros(6)
         for row in snap.features():
-            brute = brute + model.psi.forward_cached(row[None])[0][0]
+            brute = brute + model.encoder.forward_cached(row[None])[0][0]
         np.testing.assert_allclose(model.predict(snap).vec, brute, atol=1e-12)
 
 
@@ -71,8 +71,8 @@ def test_deepset_duplicate_neighbour_doubles_embedding(rng):
     model = DeepSetModel.initialised(rng)
     snap1 = random_snapshot(rng, 1)
     snap2 = FormationSnapshot(snap1.sufferer, (snap1.neighbours[0], snap1.neighbours[0]))
-    e1 = segment_sum(model.phi.forward_cached(snap1.features())[0], np.array([1]))
-    e2 = segment_sum(model.phi.forward_cached(snap2.features())[0], np.array([2]))
+    e1 = segment_sum(model.encoder.forward_cached(snap1.features())[0], np.array([1]))
+    e2 = segment_sum(model.encoder.forward_cached(snap2.features())[0], np.array([2]))
     np.testing.assert_allclose(e2, 2 * e1, rtol=1e-12)
     # the decoded output is nonlinear in the embedding, so it does not double
     assert not np.allclose(model.predict(snap2).vec, 2 * model.predict(snap1).vec, rtol=1e-3)
@@ -92,13 +92,13 @@ def test_deepset_affine_composition_closed_form(rng):
 def test_deepset_k0_is_decoder_of_zero(rng):
     model = DeepSetModel.initialised(rng)
     out = model.predict(FormationSnapshot(make_state((0, 0, 0))))
-    np.testing.assert_array_equal(out.vec, model.big_phi.forward_cached(np.zeros((1, model.phi.d_out)))[0][0])
+    np.testing.assert_array_equal(out.vec, model.decoder.forward_cached(np.zeros((1, model.encoder.d_out)))[0][0])
 
 
 def test_deepset_k0_forward_is_decoder_of_zero(rng):
     model = DeepSetModel.initialised(rng)
     pred, _ = model.forward(np.zeros((0, 6)), np.zeros(1, dtype=np.int64))
-    np.testing.assert_array_equal(pred[0], model.big_phi.forward_cached(np.zeros((1, model.phi.d_out)))[0][0])
+    np.testing.assert_array_equal(pred[0], model.decoder.forward_cached(np.zeros((1, model.encoder.d_out)))[0][0])
 
 
 def test_segment_sum_runs_left_to_right():
