@@ -34,14 +34,6 @@ EXIT_FORMAT = 5
 MODEL_NAMES = ("naive_linear", "learnt_linear", "learnt_nonlinear")
 
 
-def _dataset_path(cfg: RunConfig, name: str) -> Path:
-    return cfg.output_dir / "datasets" / f"{name}.csv"
-
-
-def _model_path(cfg: RunConfig, name: str) -> Path:
-    return cfg.output_dir / "models" / f"{name}.json"
-
-
 def cmd_gen(cfg: RunConfig) -> list:
     """Generate every configured dataset; returns the CSV paths."""
     paths = []
@@ -56,25 +48,11 @@ def cmd_gen(cfg: RunConfig) -> list:
             noise,
         )
         data.metadata["name"] = spec.name
-        path = _dataset_path(cfg, spec.name)
+        path = cfg.output_dir / "datasets" / f"{spec.name}.csv"
         save_dataset(data, path)
         print(f"gen: {spec.name}: {len(data)} records -> {path}")
         paths.append(path)
     return paths
-
-
-def _grid_geometry(sweep):
-    """Grid bounds aligned with the sweep: N cells centred on legs, one
-    vertical cell per altitude plane."""
-    half = sweep.lateral_extent / 2.0
-    alts = sorted(set(sweep.altitudes))
-    # With one plane there is no altitude step, so the formation spacing
-    # stands in.  The fitted table does not depend on it (every record lies on
-    # the plane); it only sets how far off the plane a query still reads the
-    # plane's values: spacing/2 either way, zero beyond.
-    step = (alts[-1] - alts[0]) / (len(alts) - 1) if len(alts) > 1 else sweep.spacing
-    vertical = (-alts[-1] - step / 2.0, -alts[0] + step / 2.0)
-    return ((-half, half), (-half, half)), vertical, len(alts)
 
 
 def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
@@ -91,24 +69,20 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
             loaded[name] = load_dataset(path)
         return loaded[name]
 
+    out = cfg.output_dir / "models"
     paths = []
 
-    fit_spec = cfg.dataset_spec(cfg.naive.fit_on)
-    lateral, vertical, n_planes = _grid_geometry(fit_spec.sweep)
-    fit_data = _load(cfg.naive.fit_on)
+    fit_on = cfg.naive.fit_on
+    sweep = cfg.dataset_spec(fit_on).sweep  # an unknown name fails before any file is read
+    fit_data = _load(fit_on)  # outside the try: a malformed file keeps its own message
     try:
-        grid = fit_grid(
-            fit_data,
-            resolution=(*cfg.naive.resolution, n_planes),
-            lateral_bounds=lateral,
-            vertical_bounds=vertical,
-        )
+        grid = fit_grid(fit_data, sweep, cfg.naive.resolution)
     except ValueError as exc:
         # a well-formed dataset that another config generated (stale data)
-        raise FormatError(f"{base / f'{cfg.naive.fit_on}.csv'}: cannot fit the naive grid: {exc}") from None
-    path = _model_path(cfg, "naive_linear")
+        raise FormatError(f"{base / f'{fit_on}.csv'}: cannot fit the naive grid: {exc}") from None
+    path = out / "naive_linear.json"
     save_model(grid, path)
-    print(f"train: naive_linear fitted on {cfg.naive.fit_on} -> {path}")
+    print(f"train: naive_linear fitted on {fit_on} -> {path}")
     paths.append(path)
 
     for name, cls, settings in (
@@ -122,10 +96,10 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
         tcfg = dataclasses.replace(cfg.training, seed=substream_seed(cfg.seed, f"train:{name}"))
         history = train(model, data, tcfg)
         model.metadata["trained_on"] = list(settings.train_on)
-        path = _model_path(cfg, name)
+        path = out / f"{name}.json"
         save_model(model, path)
         write_csv(
-            cfg.output_dir / "models" / f"{name}_loss.csv",
+            out / f"{name}_loss.csv",
             [["epoch", "loss"], *([str(epoch), repr(float(loss))] for epoch, loss in enumerate(history))],
         )
         final = history[-1] if history else float("nan")
@@ -134,23 +108,23 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     return paths
 
 
-def _load_models(cfg: RunConfig, models_dir: Path | None):
+def _predictors(cfg: RunConfig, models_dir: Path | None) -> tuple:
+    """Each saved model's batch predictor by name, and the configured oracle."""
     base = Path(models_dir) if models_dir else cfg.output_dir / "models"
-    models = {}
+    predictors = {}
     for name in MODEL_NAMES:
         path = base / f"{name}.json"
         if not path.exists():
             raise FileNotFoundError(f"model {name!r} not found at {path} (run 'train' first?)")
-        models[name] = load_model(path)
-    return models
+        predictors[name] = load_model(path).predict_batch
+    return predictors, make_oracle(cfg.evaluation.oracle, cfg.field_params, cfg.merge_params)
 
 
 def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Benchmark all models against the configured oracle; returns report paths."""
-    models = _load_models(cfg, models_dir)
-    truth = make_oracle(cfg.evaluation.oracle, cfg.field_params, cfg.merge_params)
+    predictors, truth = _predictors(cfg, models_dir)
     report = benchmark(
-        {name: model.predict_batch for name, model in models.items()},
+        predictors,
         list(cfg.evaluation.formations),
         truth,
         cfg.evaluation.altitudes,
@@ -171,9 +145,7 @@ def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
 
 def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Export plottable slice-profile and contour CSVs."""
-    models = _load_models(cfg, models_dir)
-    truth = make_oracle(cfg.evaluation.oracle, cfg.field_params, cfg.merge_params)
-    predictors = {name: model.predict_batch for name, model in models.items()}
+    predictors, truth = _predictors(cfg, models_dir)
     out = cfg.output_dir / "reports"
     paths = []
     for formation in cfg.evaluation.formations:
@@ -242,13 +214,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, seed=args.seed, output_dir=args.out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         if args.command == "gen":
             cmd_gen(cfg)
         elif args.command == "train":

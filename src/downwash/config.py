@@ -131,6 +131,14 @@ class DatasetSpec:
     oracle: Oracle = "merging"
 
 
+def _require_sizes(settings, *names: str) -> None:
+    """A ValueError at the first field of ``names`` (sizes or tuples of sizes) holding one below 1."""
+    for name in names:
+        sizes = getattr(settings, name)
+        if min(sizes if isinstance(sizes, tuple) else (sizes,)) < 1:
+            raise ValueError(f"{name}: every size must be >= 1, got {sizes!r}")
+
+
 @dataclass(frozen=True)
 class NaiveSettings:
     fit_on: str = "single_k1"
@@ -139,12 +147,16 @@ class NaiveSettings:
     def __post_init__(self):
         if len(self.resolution) != 2:
             raise ValueError("resolution: expected [n_cells, e_cells]")
+        _require_sizes(self, "resolution")
 
 
 @dataclass(frozen=True)
 class LinearSettings:
     train_on: tuple[str, ...] = ("single_k1",)
     hidden: tuple[int, ...] = (64, 64)       # encoder hidden sizes
+
+    def __post_init__(self):
+        _require_sizes(self, "hidden")
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,9 @@ class DeepSetSettings:
     embed_dim: int = 64
     phi_hidden: tuple[int, ...] = (64, 64)
     decoder_hidden: tuple[int, ...] = (64,)
+
+    def __post_init__(self):
+        _require_sizes(self, "embed_dim", "phi_hidden", "decoder_hidden")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The three aggregate-force predictors.
 
 * ``GridLookupModel`` — the naive baseline: a trilinear lookup table binned
-  from single-neighbour measurements, queried once per neighbour and summed.
+  from single-neighbour measurements over the volume their sweep explored,
+  queried once per neighbour and summed.
 * ``LinearAggModel`` — a learnt per-neighbour network whose outputs are
   summed, so it is additive by construction.
 * ``DeepSetModel`` — a permutation-invariant set network: per-neighbour
@@ -36,9 +37,9 @@ payload in :attr:`Mlp.flat` order (W0, b0, W1, b1, ...), under the keys
 encoder and decoder); a grid keeps ``bounds`` and ``shape`` as JSON and its
 ``values`` as a payload in C order.
 :func:`load_model` requires ``dims`` and ``shape`` to be lists of plain
-positive integers and each payload to hold exactly the number of values
-they call for, every one finite, before it builds a model on the values;
-any other file is a ``FormatError`` naming it.
+positive integers, a grid's ``bounds`` 3 pairs of plain finite numbers, and
+each payload to hold exactly the values they call for, all finite, before it
+builds a model on them; any other file is a ``FormatError`` naming it.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .core import FormationSnapshot, Wrench6
 from .dataset import Dataset, FormatError, write_json
+from .formations import SweepConfig
 from .mlp import Mlp, Workspace, parameter_count
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
@@ -222,37 +225,31 @@ class GridLookupModel(_Model):
         return self.query(feats[..., :3]).sum(axis=1)
 
 
-def fit_grid(
-    data: Dataset,
-    resolution=(41, 41, 3),
-    lateral_bounds=None,
-    vertical_bounds=None,
-) -> GridLookupModel:
-    """Bin noisy K=1 measurements by relative position into a lookup grid.
+def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
+    """Bin noisy K=1 measurements by relative position into a lookup grid
+    over the volume ``sweep`` explored: ``resolution`` (n, e) cells centred on
+    its legs, and one vertical cell per altitude plane.
 
     Each cell stores the mean of its samples; empty cells are filled from
     the nearest non-empty cell (physical distance, so anisotropic cells are
-    handled correctly).  Bounds default to the data extent per axis.
+    handled correctly).
     """
     if len(data) == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
     if data.k != 1:
         raise ValueError(f"grid fitting needs K=1 records, got K={data.k}")
 
+    half = sweep.lateral_extent / 2.0
+    alts = sorted(set(sweep.altitudes))
+    # With one plane there is no altitude step, so the formation spacing
+    # stands in.  The fitted table does not depend on it (every record lies on
+    # the plane); it only sets how far off the plane a query still reads the
+    # plane's values: spacing/2 either way, zero beyond.
+    step = (alts[-1] - alts[0]) / (len(alts) - 1) if len(alts) > 1 else sweep.spacing
+    bounds = [(-half, half), (-half, half), (-alts[-1] - step / 2.0, -alts[0] + step / 2.0)]
+
+    shape = (int(resolution[0]), int(resolution[1]), len(alts))
     dpos = data.states[:, 1, :3] - data.states[:, 0, :3]
-    meas = data.measured
-
-    if lateral_bounds is None:
-        lateral_bounds = (
-            (float(dpos[:, 0].min()), float(dpos[:, 0].max())),
-            (float(dpos[:, 1].min()), float(dpos[:, 1].max())),
-        )
-    if vertical_bounds is None:
-        vertical_bounds = (float(dpos[:, 2].min()), float(dpos[:, 2].max()))
-    bounds = [tuple(lateral_bounds[0]), tuple(lateral_bounds[1]), tuple(vertical_bounds)]
-    bounds = [(lo, hi) if hi > lo else (lo - 1e-9, hi + 1e-9) for lo, hi in bounds]
-
-    shape = tuple(int(n) for n in resolution)
     sums = np.zeros(shape + (6,))
     counts = np.zeros(shape, dtype=np.int64)
     idx = []
@@ -265,7 +262,7 @@ def fit_grid(
         inside &= (dpos[:, ax] >= lo) & (dpos[:, ax] <= hi)
         idx.append(i)
     np.add.at(counts, (idx[0][inside], idx[1][inside], idx[2][inside]), 1)
-    np.add.at(sums, (idx[0][inside], idx[1][inside], idx[2][inside]), meas[inside])
+    np.add.at(sums, (idx[0][inside], idx[1][inside], idx[2][inside]), data.measured[inside])
 
     values = np.zeros_like(sums)
     filled = counts > 0
@@ -345,7 +342,7 @@ def _model_from_doc(doc: dict):
     if kind == "grid":
         shape = _positive_ints(doc["shape"], "grid shape", 1)
         values = _decode(doc["values"], math.prod(shape)).reshape(shape)
-        return GridLookupModel([tuple(b) for b in doc["bounds"]], values, metadata)
+        return GridLookupModel(_finite_bounds(doc["bounds"]), values, metadata)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -375,6 +372,15 @@ def _positive_ints(value, what: str, least: int) -> list:
     (no bool, no float); a ValueError otherwise."""
     if not (isinstance(value, list) and len(value) >= least and all(type(n) is int and n > 0 for n in value)):
         raise ValueError(f"{what} {value!r} is not a list of at least {least} positive integers")
+    return value
+
+
+def _finite_bounds(value) -> list:
+    """``value`` if it is a list of 3 [lo, hi] lists of plain finite numbers (no
+    bool, no str, no int beyond the float range); a ValueError otherwise."""
+    pairs = isinstance(value, list) and len(value) == 3 and all(isinstance(p, list) and len(p) == 2 for p in value)
+    if not (pairs and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for p in value for x in p)):
+        raise ValueError(f"grid bounds {value!r} are not 3 pairs of finite numbers")
     return value
 
 

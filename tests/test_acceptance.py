@@ -4,6 +4,12 @@ One test per acceptance criterion, each asserting the stated tolerance and
 printing a single PASS line (run ``pytest -s tests/test_acceptance.py`` to
 see them live).  The nonlinear-regime pipeline (datasets -> training ->
 evaluation) is shared through a module-scoped fixture and timed end to end.
+
+Criterion 5a's D errors, quoted to full precision in the project notes as
+1.7922698572835027 / 1.8452333752055985 / 0.435423184586369 (naive / learnt
+linear / deep set), hold with one BLAS thread (``OPENBLAS_NUM_THREADS=1``).
+Under OpenBLAS's default of one thread per core (two on a 2-core host) the
+learnt-linear figure reads 1.8452333752055978; the gates hold either way.
 """
 
 import time
@@ -142,12 +148,7 @@ def test_criterion_4_additive_regime():
     data = generate_sweep(
         K1, cfg, "additive", P, noise=NoiseParams(seed=substream_seed(SEED, "crit4"))
     )
-    naive = fit_grid(
-        data,
-        resolution=(cfg.legs, 64, 3),
-        lateral_bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        vertical_bounds=(-1.55, -0.05),
-    )
+    naive = fit_grid(data, cfg, (cfg.legs, 64))
     err = integrated_plane_error(naive.predict_batch, make_oracle("additive", P), LF3, 0.3, resolution=64)
     elapsed = time.perf_counter() - start
     assert err[2] < 0.10
@@ -166,17 +167,13 @@ def nonlinear_pipeline():
     def noise(tag):
         return NoiseParams(seed=substream_seed(SEED, tag))
 
-    k1_fit = generate_sweep(K1, SweepConfig(legs=64, samples_per_leg=800), "merging", P, M, noise("k1fit"))
+    fit_sweep = SweepConfig(legs=64, samples_per_leg=800)
+    k1_fit = generate_sweep(K1, fit_sweep, "merging", P, M, noise("k1fit"))
     k1_train = generate_sweep(K1, SweepConfig(), "merging", P, M, noise("k1train"))
     k3_low = generate_sweep(LF3, SweepConfig(altitudes=(0.3,)), "merging", P, M, noise("k3low"))
     k3_full = generate_sweep(LF3, SweepConfig(), "merging", P, M, noise("k3full"))
 
-    naive = fit_grid(
-        k1_fit,
-        resolution=(64, 64, 3),
-        lateral_bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        vertical_bounds=(-1.55, -0.05),
-    )
+    naive = fit_grid(k1_fit, fit_sweep, (64, 64))
     # The learnt linear trains on the linear-interaction regime (single
     # vehicle everywhere plus the low-altitude formation data); the deep set
     # trains on the full altitude range of the formation it is asked about.
@@ -214,8 +211,8 @@ def test_criterion_5a_nonlinear_error_ordering(nonlinear_pipeline):
     assert nonlinear_pipeline["elapsed"] < 900.0
     _report(
         "5a",
-        f"D errors naive {d_naive:.3f} / linear {d_linear:.3f} >= 1.3x deep set "
-        f"{d_deepset:.3f}; pipeline {nonlinear_pipeline['elapsed']:.0f} s",
+        f"D errors naive {float(d_naive)!r} / linear {float(d_linear)!r} >= 1.3x deep set "
+        f"{float(d_deepset)!r}; pipeline {nonlinear_pipeline['elapsed']:.0f} s",
     )
 
 

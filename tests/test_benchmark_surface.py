@@ -81,7 +81,7 @@ def test_calls_benchmarks_make_keep_their_shapes(tmp_path):
     deepset = DeepSetModel.initialised(stream(2))
     train(deepset, [data], TrainConfig(epochs=1, seed=3))
     models = {
-        "grid": fit_grid(data, resolution=(4, 4, 3)),
+        "grid": fit_grid(data, sweep, (4, 4)),
         "linear": LinearAggModel.initialised(stream(4)),
         "deepset": deepset,
     }

@@ -11,10 +11,8 @@ import pytest
 
 import downwash
 from downwash import cli
-from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, _grid_geometry, main
-from downwash.field import DownwashParams, NoiseParams
-from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
-from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, fit_grid, load_model, save_model
+from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
+from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, load_model, save_model
 from downwash.rng import stream
 
 MINI_CFG = """
@@ -257,20 +255,50 @@ def _fractional_dims(doc, model):
     doc["psi"]["dims"] = [6, 8.5, 6]
 
 
+def _infinite_bounds(doc, model):
+    # json reads Infinity; without validation every grid error would be blank
+    doc["bounds"][2] = [-float("inf"), float("inf")]
+
+
+def _string_and_bool_bounds(doc, model):
+    # float() would read these as (-1.0, 1.0)
+    doc["bounds"][2] = ["-1.0", True]
+
+
 @pytest.mark.parametrize(
-    "edit, needle",
-    [(_one_float_short, "bytes"), (_outside_the_alphabet, ""), (_version_1, "train"), (_fractional_dims, "dims")],
-    ids=["one_float_short", "outside_the_alphabet", "version_1", "fractional_dims"],
+    "name, edit, needle",
+    [
+        ("learnt_linear", _one_float_short, "bytes"),
+        ("learnt_linear", _outside_the_alphabet, ""),
+        ("learnt_linear", _version_1, "train"),
+        ("learnt_linear", _fractional_dims, "dims"),
+        ("naive_linear", _infinite_bounds, "bounds"),
+        ("naive_linear", _string_and_bool_bounds, "bounds"),
+    ],
+    ids=[
+        "one_float_short",
+        "outside_the_alphabet",
+        "version_1",
+        "fractional_dims",
+        "infinite_bounds",
+        "string_and_bool_bounds",
+    ],
 )
-def test_malformed_model_payload_is_format_error(tmp_path, capsys, edit, needle):
+def test_malformed_model_payload_is_format_error(tmp_path, capsys, name, edit, needle):
     cfg = _cfg(tmp_path)
-    path = _save_models(tmp_path / "models")["learnt_linear"]
+    path = _save_models(tmp_path / "models")[name]
     doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc, load_model(path))
     path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
     assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_FORMAT
     err = capsys.readouterr().err
     assert str(path) in err and needle in err.replace(str(path), "")
+
+
+def test_zero_grid_resolution_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    assert main(["train", "--config", str(cfg), "--set", "models.naive.resolution=[0, 50]"]) == EXIT_CONFIG
+    assert "models.naive.resolution" in capsys.readouterr().err
 
 
 def test_zero_contour_resolution_is_config_error(tmp_path, capsys):
@@ -395,25 +423,3 @@ def test_stale_grid_dataset_is_format_error(tmp_path, capsys, stale, overrides, 
     err = capsys.readouterr().err
     assert str(datasets / "single_k1.csv") in err and message in err, err
 
-
-def test_grid_geometry_vertical_cells():
-    sweep = SweepConfig(altitudes=(0.3, 0.8, 1.3))
-    _, vertical, planes = _grid_geometry(sweep)
-    assert planes == 3 and vertical == pytest.approx((-1.55, -0.05))  # one 0.5 m cell per plane
-
-
-def test_single_altitude_grid_cell_is_one_spacing_high():
-    sweep = SweepConfig(legs=4, samples_per_leg=20, altitudes=(1.3,), spacing=0.4)
-    lateral, vertical, planes = _grid_geometry(sweep)
-    assert planes == 1 and vertical == pytest.approx((-1.5, -1.1))
-    data = generate_sweep(
-        Formation(FormationKind.SIDE_BY_SIDE, 1), sweep, "additive", DownwashParams(), noise=NoiseParams(0.0, 0.0)
-    )
-    grid = fit_grid(data, resolution=(4, 4, planes), lateral_bounds=lateral, vertical_bounds=vertical)
-    # the one plane answers within spacing/2 of its altitude and nowhere else
-    on_plane = grid.query([0.0, 0.0, -1.3])
-    assert np.any(on_plane != 0.0)
-    np.testing.assert_allclose(grid.query([0.0, 0.0, -1.3 + 0.19]), on_plane, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(grid.query([0.0, 0.0, -1.3 - 0.19]), on_plane, rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 + 0.21]), np.zeros(6))
-    np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 - 0.21]), np.zeros(6))

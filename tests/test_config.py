@@ -198,6 +198,20 @@ def test_eval_bounds_rejected(override, path):
 
 
 @pytest.mark.parametrize(
+    "override, path",
+    [
+        ("models.naive.resolution=[0, 50]", "models.naive.resolution"),
+        ("models.linear.hidden=[-3]", "models.linear.hidden"),
+        ("models.deepset.embed_dim=0", "models.deepset.embed_dim"),
+        ("models.deepset.phi_hidden=[64, 0]", "models.deepset.phi_hidden"),
+        ("models.deepset.decoder_hidden=[-1]", "models.deepset.decoder_hidden"),
+    ],
+)
+def test_model_sizes_below_one_rejected(override, path):
+    assert _config_error(override).startswith(path + ": every size must be >= 1")
+
+
+@pytest.mark.parametrize(
     "override, message",
     [
         (

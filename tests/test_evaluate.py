@@ -60,12 +60,7 @@ def test_resolution_below_eight_rejected():
 def test_naive_degrades_from_additive_to_merging_truth():
     cfg = SweepConfig(legs=20, samples_per_leg=120, altitudes=(1.3,))
     data = generate_sweep(K1, cfg, "additive", P, noise=NoiseParams(seed=13))
-    naive = fit_grid(
-        data,
-        resolution=(20, 30, 1),
-        lateral_bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        vertical_bounds=(-1.35, -1.25),
-    )
+    naive = fit_grid(data, cfg, (20, 30))
     err_add = integrated_plane_error(naive.predict_batch, ADD, LF3, 1.3, resolution=32)
     err_mer = integrated_plane_error(naive.predict_batch, MER, LF3, 1.3, resolution=32)
     assert err_mer[2] > err_add[2]

@@ -220,12 +220,6 @@ def test_grid_predict_neighbour_outside_contributes_zero(rng):
     np.testing.assert_array_equal(model.predict(both).vec, model.predict(only).vec)
 
 
-def _k1_dataset(noiseless=False, legs=24, samples=120):
-    noise = NoiseParams(0.0, 0.0, seed=3) if noiseless else NoiseParams(seed=3)
-    cfg = SweepConfig(legs=legs, samples_per_leg=samples, altitudes=(0.3, 0.8))
-    return generate_sweep(Formation(FormationKind.SIDE_BY_SIDE, 1), cfg, "additive", DownwashParams(), noise=noise)
-
-
 def _k1_arrays(dpos, measured):
     """A K=1 dataset with the sufferer at the origin and the given neighbour positions."""
     n = len(measured)
@@ -236,32 +230,53 @@ def _k1_arrays(dpos, measured):
 
 def test_fit_grid_single_cell_stores_mean():
     data = _k1_arrays([0.0, 0.0, -1.0], [np.full(6, 1.0), np.full(6, 3.0)])
-    model = fit_grid(data, resolution=(1, 1, 1))
+    model = fit_grid(data, SweepConfig(altitudes=(1.0,)), (1, 1))
     np.testing.assert_allclose(model.values[0, 0, 0], np.full(6, 2.0))
 
 
 def test_fit_grid_rejects_wrong_k_and_empty():
     with pytest.raises(ValueError, match="empty"):
-        fit_grid(_k1_arrays(np.zeros((0, 3)), np.zeros((0, 6))))
+        fit_grid(_k1_arrays(np.zeros((0, 3)), np.zeros((0, 6))), SweepConfig(), (4, 4))
     states = np.zeros((1, 3, 7))
     states[0, 1:, :3] = [[0, 0, -1], [0, 0.5, -1]]
     data = Dataset(np.zeros(1), states, np.zeros((1, 6)), np.zeros((1, 6)), {})
     with pytest.raises(ValueError, match="K=1"):
-        fit_grid(data)
+        fit_grid(data, SweepConfig(), (4, 4))
 
 
 def test_fit_grid_noiseless_matches_oracle_on_support():
-    data = _k1_dataset(noiseless=True)
-    model = fit_grid(
-        data,
-        resolution=(24, 40, 2),
-        lateral_bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        vertical_bounds=(-1.05, -0.05),
-    )
+    sweep = SweepConfig(legs=24, samples_per_leg=120, altitudes=(0.3, 0.8))
+    k1 = Formation(FormationKind.SIDE_BY_SIDE, 1)
+    data = generate_sweep(k1, sweep, "additive", DownwashParams(), noise=NoiseParams(0.0, 0.0, seed=3))
+    model = fit_grid(data, sweep, (24, 40))
     p = DownwashParams()
     dpos = data.states[::5, 1, :3] - data.states[::5, 0, :3]
     worst = float(np.max(np.abs(model.query(dpos) - single_vehicle_wrench(dpos, p))))
     assert worst < 0.05 * p.peak_force
+
+
+def test_grid_geometry_vertical_cells():
+    data = _k1_arrays([0.0, 0.0, -0.8], [np.full(6, 1.0)])
+    grid = fit_grid(data, SweepConfig(altitudes=(0.3, 0.8, 1.3)), (4, 4))
+    # one 0.5 m cell per plane
+    assert grid.values.shape[2] == 3 and grid.bounds[2] == pytest.approx((-1.55, -0.05))
+    assert grid.bounds[:2] == [(-1.0, 1.0), (-1.0, 1.0)]
+
+
+def test_single_altitude_grid_cell_is_one_spacing_high():
+    sweep = SweepConfig(legs=4, samples_per_leg=20, altitudes=(1.3,), spacing=0.4)
+    data = generate_sweep(
+        Formation(FormationKind.SIDE_BY_SIDE, 1), sweep, "additive", DownwashParams(), noise=NoiseParams(0.0, 0.0)
+    )
+    grid = fit_grid(data, sweep, (4, 4))
+    assert grid.values.shape[2] == 1 and grid.bounds[2] == pytest.approx((-1.5, -1.1))
+    # the one plane answers within spacing/2 of its altitude and nowhere else
+    on_plane = grid.query([0.0, 0.0, -1.3])
+    assert np.any(on_plane != 0.0)
+    np.testing.assert_allclose(grid.query([0.0, 0.0, -1.3 + 0.19]), on_plane, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grid.query([0.0, 0.0, -1.3 - 0.19]), on_plane, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 + 0.21]), np.zeros(6))
+    np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 - 0.21]), np.zeros(6))
 
 
 def test_model_serialization_round_trip(tmp_path, rng):
