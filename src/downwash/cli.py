@@ -72,8 +72,12 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     out = cfg.output_dir / "models"
     paths = []
 
+    # every dataset name resolves before any file is read or written
     fit_on = cfg.naive.fit_on
-    sweep = cfg.dataset_spec(fit_on).sweep  # an unknown name fails before any file is read
+    sweep = cfg.dataset_spec(fit_on, "models.naive.fit_on").sweep
+    for key, settings in (("models.linear.train_on", cfg.linear), ("models.deepset.train_on", cfg.deepset)):
+        for name in settings.train_on:
+            cfg.dataset_spec(name, key)
     fit_data = _load(fit_on)  # outside the try: a malformed file keeps its own message
     try:
         grid = fit_grid(fit_data, sweep, cfg.naive.resolution)

@@ -213,11 +213,12 @@ class RunConfig:
     deepset: DeepSetSettings
     evaluation: EvalSettings
 
-    def dataset_spec(self, name: str) -> DatasetSpec:
+    def dataset_spec(self, name: str, key: str) -> DatasetSpec:
+        """The dataset named ``name``, which the config entry ``key`` names."""
         for spec in self.datasets:
             if spec.name == name:
                 return spec
-        raise ConfigError(f"no dataset named {name!r} is configured")
+        raise ConfigError(f"{key}: no dataset named {name!r} is configured")
 
 
 def _dataset(entry, path: str, sweep: SweepConfig) -> DatasetSpec:

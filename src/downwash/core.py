@@ -14,8 +14,9 @@ The pipeline works on arrays, not per-sample objects:
   independent of the order the neighbours were listed in;
 * a *wrench batch* is (n, 6) in ``WRENCH_AXES`` order.
 
-``VehicleState``, ``FormationSnapshot`` and ``Wrench6`` are immutable values
-for building or reading one sample by hand; a snapshot turns itself into a
+``VehicleState``, ``FormationSnapshot`` and ``Wrench6`` are immutable
+per-sample values, the surface that the scripts under ``benchmarks/`` build
+samples with; no pipeline stage uses them.  A snapshot turns itself into a
 feature batch with :meth:`FormationSnapshot.features`.
 """
 

@@ -10,7 +10,8 @@
 
 Each model maps a feature batch (m, K, 6) to a wrench batch (m, 6) with
 ``predict_batch``, the batch callable that evaluation takes; ``predict``
-wraps it for one ``FormationSnapshot``.  Feature rows arrive in canonical
+wraps it for one ``FormationSnapshot``, for the scripts under ``benchmarks/``
+that build samples as objects.  Feature rows arrive in canonical
 order (see :mod:`downwash.core`), which makes permutation invariance bitwise
 rather than merely approximate.
 
@@ -79,7 +80,8 @@ def segment_sum(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _Model:
-    """Shared batch-of-one entry point of the three predictors."""
+    """The per-snapshot entry point of the three predictors, which the
+    scripts under ``benchmarks/`` call; everything else calls ``predict_batch``."""
 
     def predict(self, snap: FormationSnapshot) -> Wrench6:
         """The wrench for one snapshot: :meth:`predict_batch` on a batch of one."""

@@ -1,28 +1,16 @@
 import numpy as np
 import pytest
 
-from downwash.core import FormationSnapshot, VehicleState
 
-
-def make_state(pos, vel=(0.0, 0.0, 0.0), yaw=0.0) -> VehicleState:
-    return VehicleState(position=np.asarray(pos, dtype=float), velocity=np.asarray(vel, dtype=float), yaw=yaw)
-
-
-def random_snapshot(rng: np.random.Generator, k: int) -> FormationSnapshot:
-    """Random but valid snapshot: neighbours scattered around and above the origin."""
-    sufferer = make_state((0.0, 0.0, 0.0))
-    neighbours = []
-    for _ in range(k):
-        pos = np.array(
-            [
-                rng.uniform(-1.2, 1.2),
-                rng.uniform(-1.2, 1.2),
-                -rng.uniform(0.15, 1.5),
-            ]
-        )
-        vel = rng.uniform(-0.8, 0.8, size=3)
-        neighbours.append(VehicleState(position=pos, velocity=vel))
-    return FormationSnapshot(sufferer, tuple(neighbours))
+def random_states(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Random but valid state rows (k+1, 7): the sufferer at rest at the
+    origin, then k neighbours scattered around and above it, each drawing
+    N, E, D and then its velocity."""
+    states = np.zeros((k + 1, 7))
+    for row in states[1:]:
+        row[:3] = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), -rng.uniform(0.15, 1.5)
+        row[3:6] = rng.uniform(-0.8, 0.8, size=3)
+    return states
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from downwash.cli import EXIT_OK, main
-from downwash.core import FormationSnapshot
+from downwash.core import relative_features
 from downwash.evaluate import (
     contour_grid,
     count_peaks,
@@ -43,7 +43,7 @@ from downwash.training import (
     train,
 )
 
-from conftest import random_snapshot
+from conftest import random_states
 
 P = DownwashParams()
 M = MergeParams()
@@ -57,8 +57,24 @@ def _report(criterion, detail):
     print(f"[acceptance] criterion {criterion}: PASS - {detail}")
 
 
-def _singletons(snap):
-    return [FormationSnapshot(snap.sufferer, (nb,)) for nb in snap.neighbours]
+def _stacked_by_k(samples):
+    """State arrays (K+1, 7) of mixed K stacked into one batch (m, K+1, 7) per K."""
+    groups = {}
+    for states in samples:
+        groups.setdefault(len(states) - 1, []).append(states)
+    return {k: np.stack(group) for k, group in sorted(groups.items())}
+
+
+def _sum_of_singletons(model, states):
+    """Per sample of a state batch (m, K+1, 7), the model's predictions for
+    each neighbour alone with the sufferer, summed in listed order from zero."""
+    m, k = states.shape[0], states.shape[1] - 1
+    pairs = states[:, [(0, j) for j in range(1, k + 1)]]  # (m, K, 2, 7)
+    parts = model.predict_batch(relative_features(pairs).reshape(m * k, 1, 6)).reshape(m, k, 6)
+    brute = np.zeros((m, 6))
+    for j in range(k):
+        brute = brute + parts[:, j]
+    return brute
 
 
 # -------------------------------------------------------------- criterion 1
@@ -71,13 +87,15 @@ def test_criterion_1_permutation_invariance():
         [(-1.5, 1.5), (-1.5, 1.5), (-1.6, 0.0)], rng.uniform(-2, 2, (12, 12, 6, 6))
     )
     start = time.perf_counter()
+    listed, shuffled = [], []
     for i in range(1000):
         k = int(rng.integers(2, 5))
-        snap = random_snapshot(rng, k)
-        perm = rng.permutation(k)
-        shuffled = FormationSnapshot(snap.sufferer, tuple(snap.neighbours[j] for j in perm))
+        listed.append(random_states(rng, k))
+        shuffled.append(listed[-1][np.r_[0, 1 + rng.permutation(k)]])
+    for states, moved in zip(_stacked_by_k(listed).values(), _stacked_by_k(shuffled).values()):
         for model in (linear, deepset, grid):
-            assert np.array_equal(model.predict(snap).vec, model.predict(shuffled).vec)
+            whole = model.predict_batch(relative_features(states))
+            assert np.array_equal(whole, model.predict_batch(relative_features(moved)))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(1, f"1000 snapshots, 3 models bitwise invariant in {elapsed:.1f} s")
@@ -88,15 +106,11 @@ def test_criterion_1_permutation_invariance():
 def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(202)
     start = time.perf_counter()
-    batch = [random_snapshot(rng, 3) for _ in range(4)]
+    feats = relative_features(np.stack([random_states(rng, 3) for _ in range(4)]))
     worst = 0.0
     checked = 0
     for model in (LinearAggModel.initialised(stream(11)), DeepSetModel.initialised(stream(12))):
-        rows = []
-        for snap in batch:
-            rows.append(snap.features())
-        feats = np.stack(rows)
-        targets = rng.uniform(-2, 2, (len(batch), 6))
+        targets = rng.uniform(-2, 2, (len(feats), 6))
         weights = loss_weights_for(targets)
         _, analytic = batch_loss_and_gradients(model, feats.reshape(-1, 6), np.full(4, 3), targets, weights)
         flat = model.flat
@@ -126,18 +140,19 @@ def test_criterion_3_oracle_equivalence():
     grid = GridLookupModel(
         [(-1.5, 1.5), (-1.5, 1.5), (-1.6, 0.0)], rng.uniform(-2, 2, (10, 10, 5, 6))
     )
-    worst = 0.0
+    start = time.perf_counter()
+    samples = []
     for i in range(10_000):
         k = int(rng.integers(1, 5))
-        snap = random_snapshot(rng, k)
+        samples.append(random_states(rng, k))
+    worst = 0.0
+    for states in _stacked_by_k(samples).values():
         for model in (linear, grid):
-            whole = model.predict(snap).vec
-            brute = np.zeros(6)
-            for single in _singletons(snap):
-                brute = brute + model.predict(single).vec
-            worst = max(worst, float(np.max(np.abs(whole - brute))))
+            whole = model.predict_batch(relative_features(states))
+            worst = max(worst, float(np.max(np.abs(whole - _sum_of_singletons(model, states)))))
+    elapsed = time.perf_counter() - start
     assert worst < 1e-12
-    _report(3, f"10000 snapshots, max |set - per-neighbour sum| = {worst:.2e}")
+    _report(3, f"10000 snapshots, max |set - per-neighbour sum| = {worst:.2e} in {elapsed:.2f} s")
 
 
 # -------------------------------------------------------------- criterion 4
@@ -320,13 +335,9 @@ def test_criterion_9_generalization_probe():
     # structural check: the linear model's K=4 prediction is the sum of its
     # four single-neighbour queries
     rng = np.random.default_rng(909)
-    for _ in range(50):
-        snap = random_snapshot(rng, 4)
-        whole = linear.predict(snap).vec
-        brute = np.zeros(6)
-        for single in _singletons(snap):
-            brute = brute + linear.predict(single).vec
-        assert np.max(np.abs(whole - brute)) < 1e-12
+    states = np.stack([random_states(rng, 4) for _ in range(50)])
+    whole = linear.predict_batch(relative_features(states))
+    assert np.max(np.abs(whole - _sum_of_singletons(linear, states))) < 1e-12
     _report(
         9,
         "K=4 probe (trained on K<=3): D error linear "

@@ -19,7 +19,7 @@ import numpy as np
 
 from downwash.core import FormationSnapshot, VehicleState
 from downwash.evaluate import count_peaks, integrated_plane_error
-from downwash.field import DownwashParams, MergeParams, NoiseParams, aggregate_merging, make_oracle
+from downwash.field import DownwashParams, MergeParams, NoiseParams, aggregate_merging, make_oracle, merging_batch
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 from downwash.models import DeepSetModel, LinearAggModel, fit_grid, load_model, save_model
 from downwash.rng import stream
@@ -71,8 +71,12 @@ def test_every_name_benchmarks_import_resolves():
 
 
 def test_calls_benchmarks_make_keep_their_shapes(tmp_path):
-    """The calls of ``workloads.py``, ``test_reference.py`` and the
-    ``blas_threads.py`` child, each on every model kind it meets."""
+    """The calls of ``workloads.py`` and ``test_reference.py`` on every model
+    kind they meet, and ``predict_batch`` in ``integrated_plane_error``, the
+    call the ``blas_threads.py`` child should make (it passes ``predict``,
+    which takes one snapshot, not a batch).  The per-snapshot shims
+    ``predict`` and ``aggregate_merging`` must equal the batch functions on
+    a batch of one bitwise; no other tier-1 test calls them."""
     params, merge = DownwashParams(), MergeParams(contraction_rate=0.65)
     sweep = SweepConfig(legs=4, samples_per_leg=10)
     k1 = Formation(FormationKind.SIDE_BY_SIDE, 1)
@@ -100,8 +104,12 @@ def test_calls_benchmarks_make_keep_their_shapes(tmp_path):
             vec = loaded.predict(snap).vec
             assert vec.shape == (6,)
             np.testing.assert_array_equal(vec, model.predict(snap).vec)
+            assert vec.tobytes() == loaded.predict_batch(snap.features()[None])[0].tobytes()
 
-    assert aggregate_merging(triple, params, merge).vec.shape == (6,)
+    for snap in (single, triple):
+        vec = aggregate_merging(snap, params, merge).vec
+        assert vec.shape == (6,)
+        assert vec.tobytes() == merging_batch(snap.features()[None], params, merge)[0].tobytes()
     truth = make_oracle("merging", params, merge)
     feats = np.stack([triple.features(), single.features().repeat(3, axis=0)])
     assert truth(feats).shape == (2, 6)

@@ -132,6 +132,18 @@ def test_train_reads_each_dataset_once(tmp_path, monkeypatch):
     assert sorted(loads) == ["leader_follower_k3.csv", "single_k1.csv"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("models.naive.fit_on", "nope"), ("models.linear.train_on", "[nope]"), ("models.deepset.train_on", "[nope]")],
+)
+def test_unconfigured_dataset_name_is_config_error(tmp_path, capsys, key, value):
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--set", f"{key}={value}"]) == EXIT_CONFIG
+    assert f"{key}: no dataset named 'nope'" in capsys.readouterr().err
+    assert not list((tmp_path / "run" / "models").rglob("*"))
+
+
 def test_eval_and_report_outputs(tmp_path):
     cfg = _cfg(tmp_path)
     main(["gen", "--config", str(cfg)])

@@ -10,40 +10,45 @@ from downwash.core import (
     relative_features,
 )
 
-from conftest import make_state
+
+def make_state(pos, vel=(0.0, 0.0, 0.0), yaw=0.0) -> VehicleState:
+    return VehicleState(position=np.asarray(pos, dtype=float), velocity=np.asarray(vel, dtype=float), yaw=yaw)
 
 
-def relative_state(neighbour: VehicleState, sufferer: VehicleState) -> np.ndarray:
+def state_row(pos, vel=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """One state row (7,): position, velocity, zero yaw."""
+    return np.array([*pos, *vel, 0.0], dtype=float)
+
+
+def relative_state(neighbour: np.ndarray, sufferer: np.ndarray) -> np.ndarray:
     """The (dN, dE, dD, dvN, dvE, dvD) row of one neighbour, via the batch primitive."""
-    states = np.array([[*s.position, *s.velocity, s.yaw] for s in (sufferer, neighbour)])
-    return relative_features(states[None])[0, 0]
+    return relative_features(np.stack([sufferer, neighbour])[None])[0, 0]
 
 
 def test_relative_state_simple_offset():
-    rel = relative_state(make_state((0, 0, -1)), make_state((0, 0, 0)))
+    rel = relative_state(state_row((0, 0, -1)), state_row((0, 0, 0)))
     assert np.array_equal(rel[:3], [0, 0, -1])
     assert np.array_equal(rel[3:], [0, 0, 0])
 
 
 def test_relative_state_zero_for_identical_states():
-    a = make_state((1.0, -2.0, 0.5), vel=(0.1, 0.2, 0.3))
+    a = state_row((1.0, -2.0, 0.5), vel=(0.1, 0.2, 0.3))
     rel = relative_state(a, a)
     assert np.array_equal(rel, np.zeros(6))
 
 
 def test_relative_state_componentwise():
-    neighbour = make_state((1, 2, -1), vel=(0, 0.5, 0))
-    sufferer = make_state((0, 0, 0))
-    rel = relative_state(neighbour, sufferer)
+    rel = relative_state(state_row((1, 2, -1), vel=(0, 0.5, 0)), state_row((0, 0, 0)))
     assert np.array_equal(rel[:3], [1, 2, -1])
     assert np.array_equal(rel[3:], [0, 0.5, 0])
 
 
 def test_relative_state_antisymmetry(rng):
-    for _ in range(200):
-        a = make_state(rng.uniform(-5, 5, 3), vel=rng.uniform(-2, 2, 3))
-        b = make_state(rng.uniform(-5, 5, 3), vel=rng.uniform(-2, 2, 3))
-        assert np.array_equal(relative_state(a, b), -relative_state(b, a))
+    pairs = np.array(
+        [[state_row(rng.uniform(-5, 5, 3), vel=rng.uniform(-2, 2, 3)) for _ in "ab"] for _ in range(200)]
+    )
+    # each pair once with a as the sufferer, once with b
+    assert np.array_equal(relative_features(pairs)[:, 0], -relative_features(pairs[:, ::-1])[:, 0])
 
 
 def test_canonical_order_sorts_by_d_then_n_e_and_velocity(rng):

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from downwash.core import WRENCH_AXES, FormationSnapshot
+from downwash.core import WRENCH_AXES, relative_features
 from downwash.field import (
     DownwashParams,
     MergeParams,
     NoiseParams,
     add_noise,
     additive_batch,
-    aggregate_merging,
     make_oracle,
+    merging_batch,
     single_vehicle_wrench,
 )
+from downwash.formations import Formation, FormationKind, centroid_features
 from downwash.rng import normal_rows, stream
-
-from conftest import make_state, random_snapshot
 
 P = DownwashParams()
 F_N, F_E, F_D, T_PITCH, T_ROLL, T_YAW = (
@@ -105,88 +104,36 @@ def test_rotational_symmetry(rng):
         np.testing.assert_allclose(w0[F_D], w1[F_D], rtol=1e-9)
 
 
-def aggregate_additive(snap, p):
-    """The additive wrench (6,) of one snapshot."""
-    return additive_batch(snap.features()[None], p)[0]
+def features(*neighbours):
+    """The feature batch (1, K, 6) of neighbours at rest at the given
+    positions (dN, dE, dD) around a sufferer at the origin."""
+    states = np.zeros((1, len(neighbours) + 1, 7))
+    states[0, 1:, :3] = neighbours
+    return relative_features(states)
 
 
 def test_additive_k0_is_zero():
-    snap = FormationSnapshot(make_state((0, 0, 0)))
-    assert np.array_equal(aggregate_additive(snap, P), np.zeros(6))
+    assert np.array_equal(additive_batch(np.zeros((1, 0, 6)), P), np.zeros((1, 6)))
 
 
 def test_additive_k1_equals_single():
-    snap = FormationSnapshot(make_state((0, 0, 0)), (make_state((0.2, -0.1, -0.9)),))
-    expected = single_vehicle_wrench(snap.features()[0, :3], P)
-    assert np.array_equal(aggregate_additive(snap, P), expected)
+    expected = single_vehicle_wrench(rel(0.2, -0.1, -0.9), P)
+    assert np.array_equal(additive_batch(features((0.2, -0.1, -0.9)), P)[0], expected)
 
 
 def test_additive_symmetric_pair_cancels_laterally():
-    snap = FormationSnapshot(
-        make_state((0, 0, 0)),
-        (make_state((0.3, 0, -1.0)), make_state((-0.3, 0, -1.0))),
-    )
-    total = aggregate_additive(snap, P)
+    total = additive_batch(features((0.3, 0, -1.0), (-0.3, 0, -1.0)), P)[0]
     single = single_vehicle_wrench(rel(0.3, 0, -1.0), P)
     assert abs(total[F_N]) < 1e-15
     np.testing.assert_allclose(total[F_D], 2 * single[F_D], rtol=1e-13)
 
 
-def test_additive_permutation_invariant_bitwise(rng):
-    for _ in range(50):
-        snap = random_snapshot(rng, 4)
-        perm = rng.permutation(4)
-        shuffled = FormationSnapshot(snap.sufferer, tuple(snap.neighbours[i] for i in perm))
-        assert np.array_equal(aggregate_additive(snap, P), aggregate_additive(shuffled, P))
-
-
 M = MergeParams()
 
 
-def test_merging_k1_identical_to_additive(rng):
-    for _ in range(30):
-        snap = random_snapshot(rng, 1)
-        assert np.array_equal(aggregate_merging(snap, P, M).vec, aggregate_additive(snap, P))
-
-
 def test_merging_far_separation_equals_additive():
-    snap = FormationSnapshot(
-        make_state((0, 0, 0)),
-        (make_state((0, -2.5, -1.0)), make_state((0, 2.5, -1.0))),
-    )
-    np.testing.assert_allclose(
-        aggregate_merging(snap, P, M).vec, aggregate_additive(snap, P), atol=1e-12
-    )
-
-
-def test_merging_reduces_to_additive_as_merge_radius_vanishes(rng):
-    tiny = MergeParams(merge_radius=1e-12, contraction_rate=M.contraction_rate, advect_gain=M.advect_gain)
-    for _ in range(20):
-        snap = random_snapshot(rng, 3)
-        np.testing.assert_allclose(
-            aggregate_merging(snap, P, tiny).vec, aggregate_additive(snap, P), atol=1e-12
-        )
-
-
-def test_merging_permutation_invariant(rng):
-    for _ in range(50):
-        snap = random_snapshot(rng, 4)
-        perm = rng.permutation(4)
-        shuffled = FormationSnapshot(snap.sufferer, tuple(snap.neighbours[i] for i in perm))
-        np.testing.assert_allclose(
-            aggregate_merging(snap, P, M).vec, aggregate_merging(shuffled, P, M).vec, atol=1e-12
-        )
-
-
-def _leader_follower_snap(centroid_e, dz=1.3, spacing=0.5):
-    vel = (0, 0.5, 0)
-    return FormationSnapshot(
-        make_state((0, 0, 0)),
-        tuple(
-            make_state((0, centroid_e + off, -dz), vel=vel)
-            for off in (-spacing, 0.0, spacing)
-        ),
-    )
+    feats = features((0, -2.5, -1.0), (0, 2.5, -1.0))
+    np.testing.assert_allclose(merging_batch(feats, P, M), additive_batch(feats, P), atol=1e-12)
 
 
 def test_merging_concentrates_force_at_cluster_centre():
@@ -194,35 +141,14 @@ def test_merging_concentrates_force_at_cluster_centre():
     # merged field must peak higher than the additive one and fall below it
     # at the formation edges.
     es = np.linspace(-1.0, 1.0, 401)
-    merged = np.array([aggregate_merging(_leader_follower_snap(e), P, M).vec[F_D] for e in es])
-    additive = np.array([aggregate_additive(_leader_follower_snap(e), P)[F_D] for e in es])
+    lf3 = Formation(FormationKind.LEADER_FOLLOWER, 3, 0.5)
+    feats = centroid_features(lf3, np.stack([np.zeros_like(es), es], axis=-1), 1.3, 0.5)
+    merged = merging_batch(feats, P, M)[:, F_D]
+    additive = additive_batch(feats, P)[:, F_D]
     assert merged.max() > additive.max()
     # at the edge-column positions the additive model sees full columns
     edge = np.argmin(np.abs(es - 0.5))
     assert merged[edge] < additive[edge]
-
-
-def test_merging_rotational_symmetry(rng):
-    # Rotating lateral offsets and velocities about the sufferer rotates the
-    # lateral force/torque pairs; D is invariant.
-    theta = 0.73
-    c, s = math.cos(theta), math.sin(theta)
-    base = random_snapshot(rng, 3)
-    rotated_neighbours = []
-    for nb in base.neighbours:
-        n, e, d = nb.position
-        vn, ve, vd = nb.velocity
-        rotated_neighbours.append(
-            make_state((c * n - s * e, s * n + c * e, d), vel=(c * vn - s * ve, s * vn + c * ve, vd))
-        )
-    w0 = aggregate_merging(base, P, M)
-    w1 = aggregate_merging(FormationSnapshot(base.sufferer, tuple(rotated_neighbours)), P, M)
-    np.testing.assert_allclose(
-        [c * w0.vec[F_N] - s * w0.vec[F_E], s * w0.vec[F_N] + c * w0.vec[F_E]],
-        [w1.vec[F_N], w1.vec[F_E]],
-        atol=1e-9,
-    )
-    np.testing.assert_allclose(w0.vec[F_D], w1.vec[F_D], rtol=1e-9)
 
 
 def test_add_noise_zero_sigma_is_identity(rng):

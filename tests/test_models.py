@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from downwash.core import FormationSnapshot
+from downwash.core import relative_features
 from downwash.dataset import Dataset, FormatError
 from downwash.field import DownwashParams, NoiseParams, single_vehicle_wrench
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
@@ -20,62 +20,40 @@ from downwash.models import (
     segment_sum,
 )
 
-from conftest import make_state, random_snapshot
-
-
-def singleton(snap, i):
-    return FormationSnapshot(snap.sufferer, (snap.neighbours[i],))
+from conftest import random_states
 
 
 def test_snapshot_features_canonical_order(rng):
-    snap = random_snapshot(rng, 4)
+    states = random_states(rng, 4)
     perm = rng.permutation(4)
-    shuffled = FormationSnapshot(snap.sufferer, tuple(snap.neighbours[i] for i in perm))
-    np.testing.assert_array_equal(snap.features(), shuffled.features())
+    shuffled = states[np.r_[0, 1 + perm]]
+    np.testing.assert_array_equal(relative_features(states), relative_features(shuffled))
 
 
 def test_linear_k0_predicts_zero(rng):
     model = LinearAggModel.initialised(rng)
-    out = model.predict(FormationSnapshot(make_state((0, 0, 0))))
-    np.testing.assert_array_equal(out.vec, np.zeros(6))
-
-
-def test_linear_k2_is_sum_of_k1_predictions(rng):
-    model = LinearAggModel.initialised(rng)
-    snap = random_snapshot(rng, 2)
-    whole = model.predict(snap)
-    parts = model.predict(singleton(snap, 0)).vec + model.predict(singleton(snap, 1)).vec
-    np.testing.assert_allclose(whole.vec, parts, atol=1e-12)
+    np.testing.assert_array_equal(model.predict_batch(np.zeros((1, 0, 6))), np.zeros((1, 6)))
 
 
 def test_linear_matches_brute_force_summation(rng):
     model = LinearAggModel.initialised(rng)
-    for _ in range(50):
-        snap = random_snapshot(rng, 3)
+    feats = relative_features(np.stack([random_states(rng, 3) for _ in range(50)]))
+    for sample, pred in zip(feats, model.predict_batch(feats)):
         brute = np.zeros(6)
-        for row in snap.features():
+        for row in sample:
             brute = brute + model.encoder.forward_cached(row[None])[0][0]
-        np.testing.assert_allclose(model.predict(snap).vec, brute, atol=1e-12)
-
-
-def test_deepset_bitwise_permutation_invariance(rng):
-    model = DeepSetModel.initialised(rng)
-    for _ in range(20):
-        snap = random_snapshot(rng, 4)
-        perm = rng.permutation(4)
-        shuffled = FormationSnapshot(snap.sufferer, tuple(snap.neighbours[i] for i in perm))
-        assert np.array_equal(model.predict(snap).vec, model.predict(shuffled).vec)
+        np.testing.assert_allclose(pred, brute, atol=1e-12)
 
 
 def test_deepset_duplicate_neighbour_doubles_embedding(rng):
     model = DeepSetModel.initialised(rng)
-    snap1 = random_snapshot(rng, 1)
-    snap2 = FormationSnapshot(snap1.sufferer, (snap1.neighbours[0], snap1.neighbours[0]))
-    e1 = segment_sum(model.encoder.forward_cached(snap1.features())[0], np.array([1]))
-    e2 = segment_sum(model.encoder.forward_cached(snap2.features())[0], np.array([2]))
+    states1 = random_states(rng, 1)
+    feats1, feats2 = relative_features(states1[None]), relative_features(states1[None, [0, 1, 1]])
+    e1 = segment_sum(model.encoder.forward_cached(feats1[0])[0], np.array([1]))
+    e2 = segment_sum(model.encoder.forward_cached(feats2[0])[0], np.array([2]))
     np.testing.assert_allclose(e2, 2 * e1, rtol=1e-12)
     # the decoded output is nonlinear in the embedding, so it does not double
-    assert not np.allclose(model.predict(snap2).vec, 2 * model.predict(snap1).vec, rtol=1e-3)
+    assert not np.allclose(model.predict_batch(feats2), 2 * model.predict_batch(feats1), rtol=1e-3)
 
 
 def test_deepset_affine_composition_closed_form(rng):
@@ -83,16 +61,16 @@ def test_deepset_affine_composition_closed_form(rng):
     phi = Mlp.initialised([6, 4], rng)
     dec = Mlp.initialised([4, 6], rng)
     model = DeepSetModel(phi, dec)
-    snap = random_snapshot(rng, 1)
-    x = snap.features()[0]
+    feats = relative_features(random_states(rng, 1)[None])
+    x = feats[0, 0]
     expected = (x @ phi.weights[0] + phi.biases[0]) @ dec.weights[0] + dec.biases[0]
-    np.testing.assert_allclose(model.predict(snap).vec, expected, atol=1e-13)
+    np.testing.assert_allclose(model.predict_batch(feats)[0], expected, atol=1e-13)
 
 
 def test_deepset_k0_is_decoder_of_zero(rng):
     model = DeepSetModel.initialised(rng)
-    out = model.predict(FormationSnapshot(make_state((0, 0, 0))))
-    np.testing.assert_array_equal(out.vec, model.decoder.forward_cached(np.zeros((1, model.encoder.d_out)))[0][0])
+    out = model.predict_batch(np.zeros((1, 0, 6)))
+    np.testing.assert_array_equal(out[0], model.decoder.forward_cached(np.zeros((1, model.encoder.d_out)))[0][0])
 
 
 def test_deepset_k0_forward_is_decoder_of_zero(rng):
@@ -126,20 +104,21 @@ def test_segment_sum_of_a_sample_does_not_depend_on_its_batch(rng):
 def test_ragged_forward_matches_per_snapshot_predictions(rng):
     # one mixed K=0/1/3 batch through forward agrees with each snapshot
     # predicted alone; only BLAS blocking over the batch size may differ
-    snaps = [random_snapshot(rng, k) for k in (3, 0, 1, 3, 1, 0)]
-    rows = np.concatenate([s.features() for s in snaps])
-    counts = np.array([len(s.neighbours) for s in snaps])
+    feats = [relative_features(random_states(rng, k)[None]) for k in (3, 0, 1, 3, 1, 0)]
+    rows = np.concatenate([f[0] for f in feats])
+    counts = np.array([f.shape[1] for f in feats])
     for model in (LinearAggModel.initialised(rng), DeepSetModel.initialised(rng)):
         pred, _ = model.forward(rows, counts)
-        for snap, row in zip(snaps, pred):
-            np.testing.assert_allclose(row, model.predict(snap).vec, rtol=0, atol=1e-12)
+        for sample, row in zip(feats, pred):
+            np.testing.assert_allclose(row, model.predict_batch(sample)[0], rtol=0, atol=1e-12)
 
 
 def test_deepset_not_additive_in_general(rng):
     model = DeepSetModel.initialised(rng)
-    snap = random_snapshot(rng, 2)
-    whole = model.predict(snap).vec
-    parts = model.predict(singleton(snap, 0)).vec + model.predict(singleton(snap, 1)).vec
+    states = random_states(rng, 2)
+    whole = model.predict_batch(relative_features(states[None]))[0]
+    singles = relative_features(states[[[0, 1], [0, 2]]])  # each neighbour alone
+    parts = model.predict_batch(singles).sum(axis=0)
     assert not np.allclose(whole, parts, atol=1e-6)
 
 
@@ -202,22 +181,13 @@ def test_grid_query_outside_bounds_is_zero(rng):
     np.testing.assert_array_equal(model.query([0.0, 0.0, 0.5]), np.zeros(6))
 
 
-def test_grid_predict_sums_neighbours(rng):
-    model = _uniform_grid_model(rng)
-    for _ in range(50):
-        snap = random_snapshot(rng, 2)
-        whole = model.predict(snap).vec
-        parts = model.predict(singleton(snap, 0)).vec + model.predict(singleton(snap, 1)).vec
-        np.testing.assert_allclose(whole, parts, atol=1e-12)
-
-
 def test_grid_predict_neighbour_outside_contributes_zero(rng):
     model = _uniform_grid_model(rng)
-    inside = make_state((0.1, 0.2, -0.7))
-    outside = make_state((5.0, 0.0, -0.7))
-    both = FormationSnapshot(make_state((0, 0, 0)), (inside, outside))
-    only = FormationSnapshot(make_state((0, 0, 0)), (inside,))
-    np.testing.assert_array_equal(model.predict(both).vec, model.predict(only).vec)
+    states = np.zeros((3, 7))
+    states[1, :3] = 0.1, 0.2, -0.7  # inside the bounds
+    states[2, :3] = 5.0, 0.0, -0.7  # outside
+    both, only = relative_features(states[None]), relative_features(states[None, :2])
+    np.testing.assert_array_equal(model.predict_batch(both), model.predict_batch(only))
 
 
 def _k1_arrays(dpos, measured):
@@ -285,13 +255,13 @@ def test_model_serialization_round_trip(tmp_path, rng):
         "deepset.json": DeepSetModel.initialised(rng, embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,)),
         "grid.json": _uniform_grid_model(rng),
     }
-    snap = random_snapshot(rng, 3)
+    feats = relative_features(random_states(rng, 3)[None])
     for name, model in models.items():
         model.metadata["note"] = "round-trip"
         path = tmp_path / name
         save_model(model, path)
         loaded = load_model(path)
-        assert np.array_equal(model.predict(snap).vec, loaded.predict(snap).vec)
+        assert np.array_equal(model.predict_batch(feats), loaded.predict_batch(feats))
         path2 = tmp_path / ("re_" + name)
         save_model(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()

@@ -69,7 +69,7 @@ def test_rotation_about_d_rotates_the_wrench(feats, theta):
         np.testing.assert_allclose(w0[:, 0:2] @ rot.T, w1[:, 0:2], atol=1e-9)
         # (t_roll, t_pitch) rotates like (f_n, f_e)
         np.testing.assert_allclose(w0[:, [4, 3]] @ rot.T, w1[:, [4, 3]], atol=1e-9)
-        np.testing.assert_allclose(w0[:, 2], w1[:, 2], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(w0[:, 2], w1[:, 2], rtol=1e-9)
         assert np.all(w1[:, 5] == 0.0)
 
 
