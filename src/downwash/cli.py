@@ -168,18 +168,17 @@ def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
             path = out / f"slice_{tag}.csv"
             prof.to_csv(path)
             paths.append(path)
-            for name, predictor in {**predictors, "ground_truth": truth}.items():
-                n_ax, e_ax, values = contour_grid(
-                    predictor,
-                    formation,
-                    altitude,
-                    extent=cfg.evaluation.extent,
-                    resolution=cfg.evaluation.contour_resolution,
-                    speed=cfg.sweep.speed,
-                )
-                cpath = out / f"contour_{tag}_{name}.csv"
-                contour_to_csv(n_ax, e_ax, values, cpath)
-                paths.append(cpath)
+            axis, grids = contour_grid(
+                {**predictors, "ground_truth": truth},
+                formation,
+                altitude,
+                extent=cfg.evaluation.extent,
+                resolution=cfg.evaluation.contour_resolution,
+                speed=cfg.sweep.speed,
+            )
+            cpaths = {name: out / f"contour_{tag}_{name}.csv" for name in grids}
+            contour_to_csv(axis, grids, cpaths)
+            paths += cpaths.values()
     print(f"report: {len(paths)} files -> {out}")
     return paths
 

@@ -2,8 +2,9 @@
 
 This module owns the encoding and the write of every output file: datasets,
 sidecars, model files, loss histories and reports are encoded by
-:func:`save_dataset`, :func:`write_csv` or :func:`write_json` and replaced
-whole by :func:`write_atomic`, so no reader sees a partial file.
+:func:`save_dataset`, :func:`write_csv`, :func:`write_float_rows` or
+:func:`write_json` and replaced whole by :func:`write_atomic`, so no reader
+sees a partial file.
 
 A dataset holds n samples sharing one neighbour count K as arrays: ``time``
 (n,), ``states`` (n, K+1, 7) with the sufferer first (see
@@ -60,6 +61,24 @@ def write_csv(path, rows) -> None:
     fh = io.StringIO(newline="")
     csv.writer(fh).writerows(rows)
     write_atomic(path, fh.getvalue().encode("utf-8"))
+
+
+def write_float_rows(path, header, table, lead=None) -> None:
+    """Write a CSV file of float rows in UTF-8 through :func:`write_atomic`:
+    the ``header`` names, then per row of the 2-D ``table`` its ``repr``
+    cells, each line joined by commas and ended by ``\\r\\n``.  ``lead[i]``,
+    when given, is text put before row i's cells: leading cells already
+    encoded, with their trailing comma.
+
+    Header names must be non-empty and need no quoting.  A float ``repr``
+    never needs it, so the file is the bytes ``csv.writer`` writes for these
+    rows (see :func:`save_dataset`)."""
+    if any(not name or set(name) & set(',"\r\n') for name in header):
+        raise ValueError(f"header {header!r} holds a name that csv.writer would quote")
+    rows = [",".join(map(repr, row)) for row in table.tolist()]
+    if lead is not None:
+        rows = map(str.__add__, lead, rows)
+    write_atomic(path, "\r\n".join([",".join(header), *rows, ""]).encode("utf-8"))
 
 
 def write_json(path, doc, indent=None) -> None:
@@ -148,9 +167,10 @@ def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     Raises :class:`FormatError` naming the file (and the data row, where
-    there is one) for a missing or broken sidecar, a row that does not
-    parse, a non-finite cell, a neighbour coinciding with the sufferer, no
-    data rows, or a row count or digest that disagrees with the sidecar.
+    there is one) for a missing or broken sidecar (JSON nested too deep to
+    parse included), a row that does not parse, a non-finite cell, a
+    neighbour coinciding with the sufferer, no data rows, or a row count or
+    digest that disagrees with the sidecar.
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
@@ -160,7 +180,7 @@ def load_dataset(csv_path) -> Dataset:
         try:
             doc = json.load(fh)
             metadata, rows, digest = doc["metadata"], doc["rows"], doc["sha256"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
             raise FormatError(f"{side}: {exc}") from None
     blob = csv_path.read_bytes()
     # A bad byte decodes to U+FFFD, which no numeric cell parses, so it is

@@ -9,14 +9,19 @@ are reported as not-applicable (NaN) instead of dividing by zero.
 Predictors and the truth are *batch callables*: each maps a feature batch
 (m, K, 6) to a wrench batch (m, 6), as ``model.predict_batch`` and the
 functions that :func:`downwash.field.make_oracle` returns do.  Every plane,
-slice and contour is one batch built by
-:func:`downwash.formations.centroid_features` and passed to each callable once.
+slice and contour plane is one batch built by
+:func:`downwash.formations.centroid_features` and passed to each callable
+once: :func:`contour_grid` and :func:`slice_profile` take the named
+callables together and return one result per name.
 
 :func:`benchmark` marks each plane's winners where it computes that plane's
 errors: on each axis, the first model with the lowest finite error wins.
 
-Report files are encoded and written by :func:`downwash.dataset.write_csv`
-and :func:`downwash.dataset.write_json`, so each is replaced whole.
+Slice and contour files are float rows, encoded and written by
+:func:`downwash.dataset.write_float_rows`; a contour plane's files share the
+encoded ``n,e`` cells of each row.  The error table goes through
+:func:`downwash.dataset.write_csv` and :func:`downwash.dataset.write_json`.
+Every report file is replaced whole.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import WRENCH_AXES
-from .dataset import write_csv, write_json
+from .dataset import write_csv, write_float_rows, write_json
 from .formations import Formation, centroid_features, midpoints
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
@@ -87,8 +92,7 @@ class SliceProfile:
 
     def to_csv(self, path) -> None:
         table = np.column_stack([self.positions, *self.columns.values()])
-        header = [f"{self.axis}_position", *self.columns]
-        write_csv(path, [header, *(map(repr, row) for row in table.tolist())])
+        write_float_rows(path, [f"{self.axis}_position", *self.columns], table)
 
 
 def slice_profile(
@@ -129,25 +133,32 @@ def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
 
 
 def contour_grid(
-    predictor,
+    predictors: dict,
     formation: Formation,
     altitude: float,
     extent: float = 2.0,
     resolution: int = 64,
     speed: float = 0.5,
 ):
-    """D-force on the midpoint lateral grid (same sampling as the error metric).
+    """D-force of each named batch callable on the midpoint lateral grid (same
+    sampling as the error metric), from one feature batch.
 
-    Returns (n_axis, e_axis, values) with values[i, j] at (n_axis[i], e_axis[j]).
+    Returns (axis, grids): the grid axis, shared by n and e, and per name a
+    (resolution, resolution) array with grids[name][i, j] at (axis[i], axis[j]).
     """
     axis, feats = _plane(formation, altitude, extent, resolution, speed)
-    return axis, axis.copy(), predictor(feats)[:, 2].reshape(resolution, resolution)
+    shape = (resolution, resolution)
+    return axis, {name: predictor(feats)[:, 2].reshape(shape) for name, predictor in predictors.items()}
 
 
-def contour_to_csv(n_axis, e_axis, values, path) -> None:
-    n, e = np.meshgrid(n_axis, e_axis, indexing="ij")
-    table = np.column_stack([n.ravel(), e.ravel(), np.ravel(values)])
-    write_csv(path, [["n", "e", "f_d"], *(map(repr, row) for row in table.tolist())])
+def contour_to_csv(axis, grids: dict, paths: dict) -> None:
+    """Write each grid of :func:`contour_grid` to ``paths[name]`` as
+    ``n,e,f_d`` rows, n-major; each row's ``n,e`` cells are encoded once for
+    all the files."""
+    cells = list(map(repr, axis.tolist()))
+    lead = [f"{n},{e}," for n in cells for e in cells]
+    for name, values in grids.items():
+        write_float_rows(paths[name], ["n", "e", "f_d"], np.reshape(values, (len(lead), 1)), lead)
 
 
 @dataclass

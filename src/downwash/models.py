@@ -208,18 +208,31 @@ class GridLookupModel(_Model):
         self.metadata = metadata or {}
 
     def query(self, dpos) -> np.ndarray:
-        """Interpolated wrenches (..., 6) at relative positions (..., 3); zeros outside bounds."""
+        """Interpolated wrenches (..., 6) at relative positions (..., 3); zeros outside bounds.
+
+        The 8 corners of a point's cell are taken with axis 0 (n) varying
+        fastest, then e, then d.  Each corner's weight is ``(w_n * w_e) * w_d``,
+        and the weighted corners c0..c7 are added left to right from zero,
+        ((0 + c0) + c1) + ... + c7, as ``sum`` over a (..., 8, 6) corner axis
+        does.  The result's bits, signed zeros included, depend on both orders.
+        """
         dpos = np.asarray(dpos, dtype=float)
         lo, hi = np.array(self.bounds).T
         cells = np.array(self.values.shape[:3])
         u = (dpos - lo) / ((hi - lo) / cells) - 0.5  # continuous coordinate in cell-centre units
         i0 = np.clip(np.floor(u).astype(np.int64), 0, np.maximum(cells - 2, 0))
         frac = np.clip(u - i0, 0.0, 1.0)
-        # the 8 corners, axis 0 varying fastest: (8, 3) bits, (..., 8, 3) indices and factors
-        bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
-        idx = np.minimum(i0[..., None, :] + bits, cells - 1)
-        weight = np.where(bits, frac[..., None, :], 1.0 - frac[..., None, :]).prod(axis=-1)
-        out = (weight[..., None] * self.values[idx[..., 0], idx[..., 1], idx[..., 2]]).sum(axis=-2)
+        # per axis: the (low, high) corner's term of the flat row index into
+        # the (nn * ne * nd, 6) table, and the (low, high) corner's weight
+        strides = (cells[1] * cells[2], cells[2], 1)
+        index = [(i0[..., a] * s, np.minimum(i0[..., a] + 1, cells[a] - 1) * s) for a, s in enumerate(strides)]
+        weight = [(1.0 - frac[..., a], frac[..., a]) for a in range(3)]
+        table = self.values.reshape(-1, 6)
+        out = np.zeros(dpos.shape[:-1] + (6,))
+        for corner in range(8):
+            n, e, d = corner & 1, corner >> 1 & 1, corner >> 2
+            w = (weight[0][n] * weight[1][e]) * weight[2][d]
+            out += w[..., None] * table[index[0][n] + index[1][e] + index[2][d]]
         inside = np.all((dpos >= lo) & (dpos <= hi), axis=-1)
         return np.where(inside[..., None], out, 0.0)
 
@@ -318,12 +331,14 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`; a file it cannot
+    read as one, JSON nested too deep to parse included, is a
+    :class:`FormatError` naming it."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             return _model_from_doc(json.load(fh))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from None
 
 

@@ -259,7 +259,8 @@ def test_criterion_6_altitude_trend():
 def test_criterion_7_single_vehicle_column_width():
     radii = {}
     for altitude in (0.3, 0.8, 1.3):
-        _, _, values = contour_grid(make_oracle("additive", P), K1, altitude, resolution=128)
+        _, grids = contour_grid({"additive": make_oracle("additive", P)}, K1, altitude, resolution=128)
+        values = grids["additive"]
         cell_area = (2.0 / 128) ** 2
         area = np.count_nonzero(values >= 0.5 * values.max()) * cell_area
         radii[altitude] = float(np.sqrt(area / np.pi))

@@ -213,6 +213,26 @@ def test_truncated_model_is_format_error(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+NESTED_JSON = "[" * 100000 + "]" * 100000  # deeper than the JSON decoder can recurse
+
+
+def test_deeply_nested_model_file_is_format_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    path = _save_models(tmp_path / "models")["learnt_linear"]
+    path.write_text(NESTED_JSON, encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--models-dir", str(path.parent)]) == EXIT_FORMAT
+    assert str(path) in capsys.readouterr().err
+
+
+def test_deeply_nested_dataset_sidecar_is_format_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg)]) == EXIT_OK
+    side = tmp_path / "run" / "datasets" / "single_k1.json"
+    side.write_text(NESTED_JSON, encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
+    assert str(side) in capsys.readouterr().err
+
+
 def _save_models(models_dir) -> dict:
     """Small valid model files under every name ``eval`` reads; their paths by name."""
     models = {

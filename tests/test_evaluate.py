@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -105,21 +107,37 @@ def test_slice_profile_includes_model_columns(tmp_path):
 
 
 def test_contour_symmetric_formation_reflects_in_n():
-    _, _, values = contour_grid(ADD, SBS2, 0.8, resolution=32)
-    np.testing.assert_allclose(values, values[::-1, :], atol=1e-9)
+    _, grids = contour_grid({"add": ADD}, SBS2, 0.8, resolution=32)
+    np.testing.assert_allclose(grids["add"], grids["add"][::-1, :], atol=1e-9)
 
 
 def test_contour_additive_support_exceeds_merging():
-    _, _, add_vals = contour_grid(ADD, LF3, 1.3, resolution=48)
-    _, _, mer_vals = contour_grid(MER, LF3, 1.3, resolution=48)
-    assert support_count(add_vals) > support_count(mer_vals)
+    _, grids = contour_grid({"add": ADD, "mer": MER}, LF3, 1.3, resolution=48)
+    assert support_count(grids["add"]) > support_count(grids["mer"])
 
 
 def test_contour_zero_predictor_all_zero(tmp_path):
-    n_ax, e_ax, values = contour_grid(zero_predictor, LF3, 1.3, resolution=16)
-    assert np.all(values == 0.0)
-    contour_to_csv(n_ax, e_ax, values, tmp_path / "c.csv")
+    axis, grids = contour_grid({"zero": zero_predictor}, LF3, 1.3, resolution=16)
+    assert np.all(grids["zero"] == 0.0)
+    contour_to_csv(axis, grids, {"zero": tmp_path / "c.csv"})
     assert (tmp_path / "c.csv").read_text().splitlines()[0] == "n,e,f_d"
+
+
+def test_contour_grid_passes_one_batch_to_each_callable_once():
+    batches = []
+
+    def recording(feats):
+        batches.append(feats)
+        return MER(feats)
+
+    axis, grids = contour_grid({"a": recording, "b": recording, "zero": zero_predictor}, LF3, 1.3, resolution=12)
+    assert len(batches) == 2 and batches[0] is batches[1] and batches[0].shape == (144, 3, 6)
+    assert list(grids) == ["a", "b", "zero"]
+    np.testing.assert_array_equal(grids["a"], MER(batches[0])[:, 2].reshape(12, 12))
+    np.testing.assert_array_equal(grids["b"], grids["a"])
+    _, alone = contour_grid({"mer": MER}, LF3, 1.3, resolution=12)
+    np.testing.assert_array_equal(alone["mer"], grids["a"])
+    np.testing.assert_array_equal(axis, (np.arange(12) + 0.5) * (2.0 / 12) - 1.0)
 
 
 def test_benchmark_same_model_twice_gives_identical_columns():
@@ -166,7 +184,7 @@ def _table(value):
 
 REPORT_WRITERS = {
     "slice_csv": lambda path, v: SliceProfile("e", np.zeros(2), {"ground_truth": np.full(2, v)}).to_csv(path),
-    "contour_csv": lambda path, v: contour_to_csv(np.zeros(1), np.zeros(2), np.full((1, 2), v), path),
+    "contour_csv": lambda path, v: contour_to_csv(np.zeros(2), {"m": np.full((2, 2), v)}, {"m": path}),
     "table_csv": lambda path, v: _table(v).to_csv(path),
     "table_json": lambda path, v: _table(v).to_json(path),
 }
@@ -186,6 +204,48 @@ def test_failed_rename_keeps_the_previous_report(tmp_path, monkeypatch, write):
         write(path, 2.0)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
+EDGE = [-0.0, 1e-05, 1e16, float("nan"), float("inf"), -float("inf"), 0.1 + 0.2]
+
+
+def _csv_writer_bytes(header, table):
+    """The rows as ``csv.writer`` writes them, one float ``repr`` per cell:
+    the reference the float-row encoder must match."""
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows([header, *([repr(v) for v in row] for row in table.tolist())])
+    return fh.getvalue().encode("utf-8")
+
+
+def test_slice_file_is_the_bytes_csv_writer_writes(tmp_path):
+    positions = np.array(EDGE[::-1])
+    columns = {"edge": np.array(EDGE), "ground_truth": np.roll(EDGE, 3)}
+    SliceProfile("n", positions, columns).to_csv(tmp_path / "s.csv")
+    body = (tmp_path / "s.csv").read_bytes()
+    table = np.column_stack([positions, *columns.values()])
+    assert body == _csv_writer_bytes(["n_position", "edge", "ground_truth"], table)
+    for cell in (b"-0.0", b"1e-05", b"1e+16", b"nan", b"inf", b"-inf", b"0.30000000000000004"):
+        assert cell in body
+
+
+def test_contour_files_are_the_bytes_csv_writer_writes(tmp_path):
+    axis = np.array([-0.0, 1e-05, 1e16])
+    grids = {"a": np.reshape(EDGE + [2.5, 1e-300], (3, 3)), "b": -np.arange(9.0).reshape(3, 3)}
+    paths = {name: tmp_path / f"{name}.csv" for name in grids}
+    contour_to_csv(axis, grids, paths)
+    n, e = np.meshgrid(axis, axis, indexing="ij")
+    for name, values in grids.items():
+        table = np.column_stack([n.ravel(), e.ravel(), values.ravel()])
+        assert paths[name].read_bytes() == _csv_writer_bytes(["n", "e", "f_d"], table)
+    # n-major rows: e varies fastest
+    assert b"\r\n-0.0,1e+16,-2.0\r\n1e-05,-0.0,-3.0\r\n" in paths["b"].read_bytes()
+
+
+def test_report_header_that_csv_would_quote_is_refused(tmp_path):
+    for name in ("a,b", 'say "x"', "two\nlines", ""):
+        with pytest.raises(ValueError, match="quote"):
+            SliceProfile("e", np.zeros(2), {name: np.zeros(2)}).to_csv(tmp_path / "s.csv")
+    assert not any(tmp_path.iterdir())
 
 
 def test_count_peaks_flat_signal_is_zero():

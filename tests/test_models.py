@@ -175,6 +175,40 @@ def test_grid_query_matches_scalar_reference(rng, shape):
     np.testing.assert_allclose(batched, expected.reshape(20, 20, 6), rtol=1e-12, atol=1e-12)
 
 
+def _fancy_index_query(model, dpos):
+    """The (..., 8, 3) formulation of ``query``: all 8 corners' indices and
+    weight factors at once, ``prod`` over the factors and ``sum`` over the
+    corners (a reduction over a non-contiguous axis, so left to right)."""
+    dpos = np.asarray(dpos, dtype=float)
+    lo, hi = np.array(model.bounds).T
+    cells = np.array(model.values.shape[:3])
+    u = (dpos - lo) / ((hi - lo) / cells) - 0.5
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, np.maximum(cells - 2, 0))
+    frac = np.clip(u - i0, 0.0, 1.0)
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    idx = np.minimum(i0[..., None, :] + bits, cells - 1)
+    weight = np.where(bits, frac[..., None, :], 1.0 - frac[..., None, :]).prod(axis=-1)
+    out = (weight[..., None] * model.values[idx[..., 0], idx[..., 1], idx[..., 2]]).sum(axis=-2)
+    inside = np.all((dpos >= lo) & (dpos <= hi), axis=-1)
+    return np.where(inside[..., None], out, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 3), (1, 6, 2), (5, 1, 3), (3, 4, 1)])
+def test_grid_query_is_bitwise_the_fancy_index_formulation(rng, shape):
+    model = _uniform_grid_model(rng, *shape)
+    # where every weighted corner is -0.0 the sum is +0.0 only if it starts from zero
+    model.values[:2, :2, :2] = -0.0
+    points = rng.uniform([-1.2, -1.2, -1.7], [1.2, 1.2, 0.2], (4, 60, 3))  # inside and outside
+    points[0, :20] = np.array(model.bounds)[np.arange(3), rng.integers(0, 2, (20, 3))]  # on the bounds
+    for dpos in (points, points[1], points[2, 7]):  # (n, K, 3), (n, 3) and (3,)
+        expected, got = _fancy_index_query(model, dpos), model.query(dpos)
+        assert got.shape == dpos.shape[:-1] + (6,)
+        assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+    lo, hi = np.array(model.bounds).T
+    inside = np.all((points >= lo) & (points <= hi), axis=-1)
+    assert 0 < inside.sum() < inside.size
+
+
 def test_grid_query_outside_bounds_is_zero(rng):
     model = _uniform_grid_model(rng)
     np.testing.assert_array_equal(model.query([1.2, 0.0, -0.5]), np.zeros(6))
