@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import reprlib
 import sys
 import typing
 from dataclasses import MISSING, dataclass
@@ -42,6 +43,13 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_ERRORS = (yaml.YAMLError, UnicodeError)
 
 
+# The repr a message quotes a config value with: lists and mappings are cut
+# off a few levels down, so a value nested thousands deep still makes a
+# short message instead of a RecursionError.
+_brief = reprlib.Repr()
+_brief.maxstring = _brief.maxother = 80
+
+
 class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
 
@@ -56,7 +64,7 @@ def _mapping(obj, path: str) -> dict:
 
 def _list(obj, path: str) -> list:
     if not isinstance(obj, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list, got {obj!r}")
+        raise ConfigError(f"{path}: expected a list, got {_brief.repr(obj)}")
     return list(obj)
 
 
@@ -72,7 +80,7 @@ def _value(tp, value, path: str, base: dict | None = None):
     if typing.get_origin(tp) is Literal or isinstance(tp, enum.EnumMeta):
         choices = typing.get_args(tp) or [member.value for member in tp]
         if value not in choices:
-            raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
+            raise ConfigError(f"{path}: expected one of {list(choices)}, got {_brief.repr(value)}")
         return tp(value) if isinstance(tp, enum.EnumMeta) else value
     if dataclasses.is_dataclass(tp):
         return build(tp, value, path, base)
@@ -84,7 +92,7 @@ def _value(tp, value, path: str, base: dict | None = None):
     if tp is Path and isinstance(value, str):
         return Path(value)
     if type(value) is not tp:
-        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {_brief.repr(value)}")
     return value
 
 

@@ -5,9 +5,12 @@ fan_out) matrices so a batch forward is ``x @ W + b``.  The Adam optimizer
 lives here too; both are deliberately dependency-free so training runs are
 bit-reproducible.
 
-An ``Mlp`` is one float64 vector ``flat``, laid out W0, b0, W1, b1, ...:
-its own, or a slice of a larger vector passed to the constructor, which is
-how a set network keeps its encoder and decoder in one vector of its own.
+An ``Mlp`` is one vector ``flat``, laid out W0, b0, W1, b1, ...: its own
+(float64, all zero), or a slice of a larger vector passed to the
+constructor, which is how a set network keeps its encoder and decoder in one
+vector of its own.  Every buffer and gradient a network makes takes
+``flat``'s dtype, so the same code runs a float64 network (prediction, the
+gradient checks) and the float32 copy that a training step runs on.
 ``weights`` and ``biases`` are tuples of views into ``flat``, so a layer
 can be written only in place (``net.weights[0][...] = w``), never swapped
 for an array that ``flat`` does not hold.  :meth:`Mlp.backward` writes the
@@ -40,27 +43,30 @@ class Workspace:
 
     def __init__(self, net: "Mlp", rows: int):
         self.dims = dims = net.layer_dims
-        self.outputs = [np.empty(rows * d) for d in dims[1:]]
-        self.deltas = [np.empty(rows * d) for d in dims]
-        self.scratch = np.empty(rows * max(dims[1:]))
+        dtype = net.flat.dtype
+        self.outputs = [np.empty(rows * d, dtype) for d in dims[1:]]
+        self.deltas = [np.empty(rows * d, dtype) for d in dims]
+        self.scratch = np.empty(rows * max(dims[1:]), dtype)
 
     def delta(self, i: int, m: int) -> np.ndarray:
         """The (m, dims[i]) buffer for d loss / d (input of layer i); the
         last one is the network output's, for the caller to fill."""
-        return _take(self.deltas[i], m, self.dims[i])
+        d = self.dims[i]
+        return self.deltas[i][: m * d].reshape(m, d)
 
 
-def _take(buf, m: int, d: int) -> np.ndarray:
-    """The first m rows of a workspace buffer as (m, d), or a new array."""
-    return np.empty((m, d)) if buf is None else buf[: m * d].reshape(m, d)
+def _take(buf, m: int, d: int, dtype) -> np.ndarray:
+    """The first m rows of a workspace buffer as (m, d), or a new (m, d)
+    array of ``dtype``."""
+    return np.empty((m, d), dtype) if buf is None else buf[: m * d].reshape(m, d)
 
 
 class Mlp:
     """Multilayer perceptron defined by its layer dimensions.
 
     ``layer_dims = [d_in, h1, ..., d_out]``; a two-entry list is a single
-    affine map.  ``flat`` holds the parameters: a float64 vector of
-    :func:`parameter_count` values, all zero when not given.
+    affine map.  ``flat`` holds the parameters: a vector of
+    :func:`parameter_count` values, float64 zeros when not given.
     """
 
     def __init__(self, layer_dims, flat: np.ndarray | None = None):
@@ -106,7 +112,7 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = _take(workspace and workspace.outputs[i], len(h), w.shape[1])
+            out = _take(workspace and workspace.outputs[i], len(h), w.shape[1], w.dtype)
             h = np.matmul(h, w, out=out)
             h += b
             if i != last:
@@ -119,11 +125,11 @@ class Mlp:
         of forward_cached.
 
         Returns (parameter gradient, layer-0 delta): the gradient is ``out``,
-        a vector laid out like ``flat`` that is newly allocated when not
-        given; the delta (m, dims[1]) is d loss / d (layer 0's ``x @ W0 + b0``).
+        a vector laid out like ``flat``, of its dtype, that is newly allocated
+        when not given; the delta (m, dims[1]) is d loss / d (layer 0's ``x @ W0 + b0``).
         The input gradient ``delta @ W0.T`` is left to a caller that needs it.
         """
-        grad = np.empty(len(self.flat)) if out is None else out
+        grad = np.empty_like(self.flat) if out is None else out
         grads_w, grads_b = self._views(grad)
         m = len(dy)
         delta = dy
@@ -133,10 +139,10 @@ class Mlp:
             if i == 0:
                 break
             w = self.weights[i]
-            delta = np.matmul(delta, w.T, out=_take(workspace and workspace.deltas[i], m, w.shape[0]))
+            delta = np.matmul(delta, w.T, out=_take(workspace and workspace.deltas[i], m, w.shape[0], w.dtype))
             # activations[i] is tanh(pre); d tanh = 1 - tanh^2.
             a = activations[i]
-            slope = _take(workspace and workspace.scratch, m, a.shape[1])
+            slope = _take(workspace and workspace.scratch, m, a.shape[1], a.dtype)
             np.multiply(a, a, out=slope)
             np.subtract(1.0, slope, out=slope)
             delta *= slope  # delta is this call's own buffer here
@@ -160,8 +166,9 @@ class Adam:
     """Standard Adam with bias correction on one parameter vector, such as a
     model's ``flat``.
 
-    The moments ``m`` and ``v`` and two scratch vectors are allocated once;
-    ``step`` updates in place, one ufunc at a time.
+    The moments ``m`` and ``v`` and two scratch vectors are allocated once,
+    in ``param``'s dtype; ``step`` updates in place, one ufunc at a time, and
+    takes a gradient of any float dtype.
     """
 
     def __init__(self, param: np.ndarray, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):

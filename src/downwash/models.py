@@ -21,11 +21,13 @@ ragged: the neighbour feature rows of all samples stacked sample by sample
 (R, 6), plus each sample's row count (n,), so samples of different K (K=0
 included) mix in one batch with no padding.
 
-A set network is one float64 vector ``flat``: the per-neighbour
-``encoder``, then the deep set's ``decoder``.  Both networks are built on
-slices of it, and ``named_parameters`` lists every weight and bias by name
-as a view into it.  ``backward`` returns the gradient as one vector with the
-same layout, newly allocated on each call unless the caller passes its own.
+A set network is one vector ``flat``: the per-neighbour ``encoder``, then
+the deep set's ``decoder``.  Both networks are built on slices of it, and
+``named_parameters`` lists every weight and bias by name as a view into it.
+``backward`` returns the gradient as one vector with the same layout and
+dtype, newly allocated on each call unless the caller passes its own.
+Every model built or loaded here is float64; ``astype(np.float32)`` makes
+the float32 copy that a training step runs on (see :mod:`downwash.training`).
 Training passes a workspace (``workspace(samples, rows)``) that it owns and
 reuses for every step; ``predict_batch`` passes none, so the predictions it
 returns never share memory with a later call.
@@ -63,12 +65,13 @@ MODEL_FORMAT_VERSION = 2
 
 
 def segment_sum(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-sample sums (n, d) of stacked rows (sum(counts), d), sample i owning
-    the next ``counts[i]`` rows; zero for a sample with none.  Each sum runs
-    left to right from zero, ((0 + a) + b) + c, as ``sum(axis=1)`` does on a
-    (n, K, d) batch, so it never depends on the batch around it
-    (``np.add.reduceat`` sums a + (b + c) and rejects a trailing empty segment)."""
-    out = np.zeros((len(counts), rows.shape[1]))
+    """Per-sample sums (n, d), in the rows' dtype, of stacked rows
+    (sum(counts), d), sample i owning the next ``counts[i]`` rows; zero for a
+    sample with none.  Each sum runs left to right from zero,
+    ((0 + a) + b) + c, as ``sum(axis=1)`` does on a (n, K, d) batch, so it
+    never depends on the batch around it (``np.add.reduceat`` sums
+    a + (b + c) and rejects a trailing empty segment)."""
+    out = np.zeros((len(counts), rows.shape[1]), rows.dtype)
     starts = np.cumsum(counts) - counts
     for j in range(int(counts.max(initial=0))):
         has = counts > j  # the samples that own a row j
@@ -93,8 +96,8 @@ class _SetNet(_Model):
     module docstring); without a decoder the pooled encoder outputs are the
     prediction.
 
-    The parameters are one float64 vector ``flat``: a copy of the given
-    networks' vectors, encoder first.  :attr:`encoder` and :attr:`decoder`
+    The parameters are one vector ``flat``: a copy of the given networks'
+    vectors, encoder first, in their dtype.  :attr:`encoder` and :attr:`decoder`
     are networks on slices of it, so a gradient laid out like ``flat``
     splits at ``len(encoder.flat)``.
     """
@@ -108,6 +111,12 @@ class _SetNet(_Model):
         self.encoder = Mlp(encoder.layer_dims, self.flat[:split])
         self.decoder = decoder and Mlp(decoder.layer_dims, self.flat[split:])
         self.metadata = metadata or {}
+
+    def astype(self, dtype) -> "_SetNet":
+        """A network of the same class and layer sizes whose ``flat`` is a
+        copy of this one's cast to ``dtype``; its metadata starts empty."""
+        nets = [Mlp(net.layer_dims, net.flat.astype(dtype)) for net in (self.encoder, self.decoder) if net]
+        return type(self)(*nets)
 
     def named_parameters(self) -> dict:
         """Every weight and bias as a view of :attr:`flat`, in its order, by
@@ -146,7 +155,7 @@ class _SetNet(_Model):
         overwritten."""
         counts, enc_cache, dec_cache = cache
         enc_ws, dec_ws = workspace or (None, None)
-        grad = np.empty(len(self.flat)) if out is None else out
+        grad = np.empty_like(self.flat) if out is None else out
         split = len(self.encoder.flat)
         if dec_cache is not None:
             _, delta = self.decoder.backward(dec_cache, dpred, dec_ws, grad[split:])

@@ -9,12 +9,22 @@ train together without padding; a shuffled batch gathers its samples' rows
 through per-sample offsets.  Runs are bitwise deterministic given the
 config.
 
-``train`` owns the step's buffers: one model workspace sized for the
-largest possible batch (``batch_size`` samples times the largest K rows),
-sliced to each batch and reused by every step, and one gradient vector laid
-out like ``model.flat``, the model's only parameter array, which Adam steps
-as one.  Called without them, :func:`batch_loss_and_gradients` allocates,
-and the gradient it returns is never overwritten by a later call.
+Each step runs in float32 against float64 master weights, the scheme of
+mixed-precision training (Micikevicius et al., ICLR 2018).  ``train`` casts
+the rows, the targets and the axis weights to float32 once and builds one
+float32 copy of the model (``model.astype``).  Before each step it copies
+``model.flat``, the model's only parameter array, into that copy; the
+copy's forward and backward give a float32 gradient, and Adam steps the
+float64 ``model.flat`` with it, its moments float64 too.  So a zero
+learning rate leaves ``model.flat`` bitwise unchanged, and the model, its
+predictions and its file stay float64.
+
+``train`` owns the step's buffers: one workspace of the float32 copy sized
+for the largest possible batch (``batch_size`` samples times the largest K
+rows), sliced to each batch and reused by every step, and one float32
+gradient vector laid out like ``model.flat``.  Called without them,
+:func:`batch_loss_and_gradients` allocates, in the model's dtype, and the
+gradient it returns is never overwritten by a later call.
 """
 
 from __future__ import annotations
@@ -103,16 +113,21 @@ def train(model, data, cfg: TrainConfig):
 
     Shuffling is driven by a dedicated substream of ``cfg.seed``, so two runs
     with identical config and data produce bitwise-identical parameters.
-    Any non-finite parameter aborts with :class:`TrainingDivergence`.
+    Each step's forward and backward run in float32 on a copy of
+    ``model.flat`` (see the module docstring).  Any non-finite parameter
+    aborts with :class:`TrainingDivergence`, the run's one report of it: the
+    steps run with float overflow and invalid-value warnings silenced.
     """
     rows, counts, targets = dataset_arrays(data)
     offsets = np.cumsum(counts) - counts
     axis_weights = loss_weights_for(targets, cfg.sigma_floor)
+    rows32, targets32, weights32 = (a.astype(np.float32) for a in (rows, targets, axis_weights))
+    net = model.astype(np.float32)
     n = len(counts)
     # one workspace for the largest possible batch and one gradient vector, reused by every step
     batch = min(cfg.batch_size, n)
-    workspace = model.workspace(batch, min(batch * int(counts.max()), len(rows)))
-    grad = np.empty(len(model.flat))
+    workspace = net.workspace(batch, min(batch * int(counts.max()), len(rows)))
+    grad = np.empty_like(net.flat)
     optimiser = Adam(
         model.flat,
         learning_rate=cfg.learning_rate,
@@ -130,10 +145,12 @@ def train(model, data, cfg: TrainConfig):
             pick_counts = counts[pick]
             # the picked samples' rows, sample by sample
             shift = np.repeat(offsets[pick] - (np.cumsum(pick_counts) - pick_counts), pick_counts)
-            loss, _ = batch_loss_and_gradients(
-                model, rows[np.arange(len(shift)) + shift], pick_counts, targets[pick], axis_weights, workspace, grad
-            )
-            optimiser.step(model.flat, grad)
+            with np.errstate(over="ignore", invalid="ignore"):
+                net.flat[...] = model.flat
+                loss, _ = batch_loss_and_gradients(
+                    net, rows32[np.arange(len(shift)) + shift], pick_counts, targets32[pick], weights32, workspace, grad
+                )
+                optimiser.step(model.flat, grad)
             total += loss * len(pick)
         if not np.isfinite(model.flat).all():
             bad = (name for name, p in model.named_parameters().items() if not np.isfinite(p).all())

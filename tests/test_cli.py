@@ -11,7 +11,7 @@ import pytest
 
 import downwash
 from downwash import cli
-from downwash.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
+from downwash.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, load_model, save_model
 from downwash.rng import stream
 
@@ -172,6 +172,24 @@ def test_invalid_config_exit_code(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("sweep: {legs: -3}\n", encoding="utf-8")
     assert main(["gen", "--config", str(path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("pairs", [1000, 20000])
+def test_deeply_nested_config_value_is_config_error(tmp_path, capsys, pairs):
+    path = tmp_path / "nested.yaml"
+    path.write_text("seed: " + "[" * pairs + "]" * pairs + "\n", encoding="utf-8")
+    assert main(["gen", "--config", str(path)]) == EXIT_CONFIG
+    assert "seed: expected int" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_4(tmp_path, capsys):
+    """Overflow in the training step ends in the divergence exit code, naming
+    the parameter, under the suite's error::RuntimeWarning filter."""
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--set", "training.learning_rate=1.0e+160"]) == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert "encoder.W0" in err and "Traceback" not in err, err
 
 
 def test_missing_models_reported_clearly(tmp_path, capsys):

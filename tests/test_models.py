@@ -90,6 +90,13 @@ def test_segment_sum_runs_left_to_right():
     assert segment_sum(uniform, np.array([3, 3])).tobytes() == expected.tobytes()
 
 
+def test_segment_sum_runs_left_to_right_in_float32():
+    rows = np.array([[1e16], [-1e16], [1.0]], dtype=np.float32)
+    pooled = segment_sum(rows, np.array([3]))
+    assert pooled.dtype == np.float32 and pooled[0, 0] == 1.0
+    assert np.add.reduceat(rows, [0])[0, 0] == 0.0
+
+
 def test_segment_sum_of_a_sample_does_not_depend_on_its_batch(rng):
     counts = np.array([3, 0, 1, 3, 0, 1, 3])
     rows = rng.normal(size=(counts.sum(), 64))

@@ -1,12 +1,17 @@
+import base64
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from downwash import training
+from downwash.core import relative_features
 from downwash.dataset import Dataset
 from downwash.field import DownwashParams, MergeParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
-from downwash.models import DeepSetModel, LinearAggModel
+from downwash.mlp import Adam
+from downwash.models import DeepSetModel, LinearAggModel, load_model, save_model
 from downwash.rng import stream
 from downwash.training import (
     TrainConfig,
@@ -17,6 +22,7 @@ from downwash.training import (
     train,
 )
 
+from conftest import random_states
 from test_mlp import fd_gradients, max_rel_error
 
 P = DownwashParams()
@@ -242,3 +248,54 @@ def test_training_memory_does_not_grow_with_epochs():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_training_keeps_float64_master_weights(monkeypatch, tmp_path):
+    """The step runs in float32, but model.flat, Adam's moments and the model
+    file stay float64."""
+    made = []
+    monkeypatch.setattr(training, "Adam", lambda *args, **kwargs: made.append(Adam(*args, **kwargs)) or made[-1])
+    model = _deepset()
+    train(model, _merging_k3(samples=5), TrainConfig(epochs=2, seed=3, batch_size=16))
+    (optimiser,) = made
+    assert optimiser.t > 0 and optimiser.m.any()
+    assert model.flat.dtype == optimiser.m.dtype == optimiser.v.dtype == np.float64
+    path = tmp_path / "deepset.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert base64.b64decode(doc["phi"]["flat"]) == model.encoder.flat.astype("<f8").tobytes()
+    loaded = load_model(path)
+    assert loaded.flat.dtype == np.float64 and loaded.flat.tobytes() == model.flat.tobytes()
+
+
+@pytest.mark.parametrize("model_cls", [LinearAggModel, DeepSetModel])
+def test_a_float32_copy_computes_in_float32(rng, model_cls):
+    model = model_cls.initialised(stream(52))
+    net = model.astype(np.float32)
+    assert type(net) is model_cls and len(net.encoder.flat) == len(model.encoder.flat)
+    assert net.flat.tobytes() == model.flat.astype(np.float32).tobytes()
+    assert model.flat.dtype == np.float64  # the original is untouched
+    workspace = net.workspace(8, 24)
+    buffers = [b for ws in workspace if ws for b in (*ws.outputs, *ws.deltas, ws.scratch)]
+    assert {b.dtype for b in buffers} == {np.dtype(np.float32)}
+    rows, counts, targets = _ragged_batch(rng, [3] * 8)
+    cast = (rows.astype(np.float32), counts, targets.astype(np.float32), np.ones(6, np.float32))
+    for ws in (workspace, None):
+        loss, grad = batch_loss_and_gradients(net, *cast, ws)
+        assert grad.dtype == np.float32 and np.isfinite(loss)
+
+
+def test_float32_gradient_matches_float64_on_the_criterion_2_batch():
+    """Criterion 2's 4 x K=3 batch: the float32 copy's gradient is the float64
+    gradient to 1e-3 in relative norm."""
+    rng = np.random.default_rng(202)
+    feats = relative_features(np.stack([random_states(rng, 3) for _ in range(4)])).reshape(-1, 6)
+    counts = np.full(4, 3)
+    for model in (LinearAggModel.initialised(stream(11)), DeepSetModel.initialised(stream(12))):
+        targets = rng.uniform(-2, 2, (4, 6))
+        weights = loss_weights_for(targets)
+        _, exact = batch_loss_and_gradients(model, feats, counts, targets, weights)
+        f32, t32, w32 = (a.astype(np.float32) for a in (feats, targets, weights))
+        _, low = batch_loss_and_gradients(model.astype(np.float32), f32, counts, t32, w32)
+        assert exact.dtype == np.float64 and low.dtype == np.float32
+        assert np.linalg.norm(low - exact) <= 1e-3 * np.linalg.norm(exact)
