@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, altitude_tag, load_config
 from .dataset import FormatError, load_dataset, save_dataset, write_csv
-from .evaluate import benchmark, contour_grid, contour_to_csv, slice_profile
+from .evaluate import benchmark, contour_to_csv, report_planes
 from .field import make_oracle
 from .formations import generate_sweep
 from .models import DeepSetModel, LinearAggModel, fit_grid, load_model, save_model
@@ -150,35 +150,21 @@ def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
 def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Export plottable slice-profile and contour CSVs."""
     predictors, truth = _predictors(cfg, models_dir)
+    ev = cfg.evaluation
+    planes = [(formation, altitude) for formation in ev.formations for altitude in ev.altitudes]
+    callables = {**predictors, "ground_truth": truth}
+    results = report_planes(
+        callables, planes, ev.slice_axis, ev.extent, ev.slice_resolution, ev.contour_resolution, cfg.sweep.speed
+    )
     out = cfg.output_dir / "reports"
     paths = []
-    for formation in cfg.evaluation.formations:
-        for altitude in cfg.evaluation.altitudes:
-            tag = f"{formation.label()}_{altitude_tag(altitude)}"
-            prof = slice_profile(
-                predictors,
-                truth,
-                formation,
-                altitude,
-                axis=cfg.evaluation.slice_axis,
-                extent=cfg.evaluation.extent,
-                resolution=cfg.evaluation.slice_resolution,
-                speed=cfg.sweep.speed,
-            )
-            path = out / f"slice_{tag}.csv"
-            prof.to_csv(path)
-            paths.append(path)
-            axis, grids = contour_grid(
-                {**predictors, "ground_truth": truth},
-                formation,
-                altitude,
-                extent=cfg.evaluation.extent,
-                resolution=cfg.evaluation.contour_resolution,
-                speed=cfg.sweep.speed,
-            )
-            cpaths = {name: out / f"contour_{tag}_{name}.csv" for name in grids}
-            contour_to_csv(axis, grids, cpaths)
-            paths += cpaths.values()
+    for (formation, altitude), (profile, axis, grids) in zip(planes, results):
+        tag = f"{formation.label()}_{altitude_tag(altitude)}"
+        paths.append(out / f"slice_{tag}.csv")
+        profile.to_csv(paths[-1])
+        cpaths = {name: out / f"contour_{tag}_{name}.csv" for name in grids}
+        contour_to_csv(axis, grids, cpaths)
+        paths += cpaths.values()
     print(f"report: {len(paths)} files -> {out}")
     return paths
 

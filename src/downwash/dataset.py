@@ -46,13 +46,19 @@ def write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over
     ``path``: a reader sees the old file or the whole new one, never a part."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        fh = open(tmp, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path, rows) -> None:

@@ -8,11 +8,10 @@ are reported as not-applicable (NaN) instead of dividing by zero.
 
 Predictors and the truth are *batch callables*: each maps a feature batch
 (m, K, 6) to a wrench batch (m, 6), as ``model.predict_batch`` and the
-functions that :func:`downwash.field.make_oracle` returns do.  Every plane,
-slice and contour plane is one batch built by
-:func:`downwash.formations.centroid_features` and passed to each callable
-once: :func:`contour_grid` and :func:`slice_profile` take the named
-callables together and return one result per name.
+functions that :func:`downwash.field.make_oracle` returns do.  Each plane is
+one batch built by :func:`downwash.formations.centroid_features`; a report
+plane holds its slice and contour points.  :func:`predict_batches` joins the
+batches of one neighbour count K, so each stage calls each callable once per K.
 
 :func:`benchmark` marks each plane's winners where it computes that plane's
 errors: on each axis, the first model with the lowest finite error wins.
@@ -38,19 +37,34 @@ from .formations import Formation, centroid_features, midpoints
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
 
 
-def _plane(formation: Formation, altitude: float, extent: float, resolution: int, speed: float):
-    """The midpoint lateral grid axis and its feature batch (resolution**2, K, 6), n-major."""
-    axis = midpoints(extent, resolution)
+def _grid(extent: float, resolution: int):
+    """The midpoint lateral grid axis and its (resolution**2, 2) centroids, n-major; empty at 0."""
+    axis = midpoints(extent, resolution) if resolution else np.zeros(0)
     n, e = np.meshgrid(axis, axis, indexing="ij")
-    centroids = np.stack([n.ravel(), e.ravel()], axis=-1)
-    return axis, centroid_features(formation, centroids, altitude, speed)
+    return axis, np.stack([n.ravel(), e.ravel()], axis=-1)
 
 
 def _error_plane(formation: Formation, altitude: float, extent: float, resolution: int, speed: float):
     """The feature batch of an error-integration plane, at least 8 x 8 points."""
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    return _plane(formation, altitude, extent, resolution, speed)[1]
+    return centroid_features(formation, _grid(extent, resolution)[1], altitude, speed)
+
+
+def predict_batches(callables, batches) -> list:
+    """``out[i][j]`` is ``callables[j](batches[i])``.  The batches of one
+    neighbour count K (``feats.shape[1]``) are joined in input order and passed
+    to each callable once; each row's wrench depends on that row alone."""
+    groups = {}
+    for i, feats in enumerate(batches):
+        groups.setdefault(feats.shape[1], []).append(i)
+    out = [None] * len(batches)
+    for members in groups.values():
+        joined = np.concatenate([batches[i] for i in members])
+        cuts = np.cumsum([len(batches[i]) for i in members])[:-1]
+        for i, results in zip(members, zip(*(np.split(fn(joined), cuts) for fn in callables))):
+            out[i] = list(results)
+    return out
 
 
 def _relative_error(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -109,15 +123,8 @@ def slice_profile(
 
     Emits one aligned column per named predictor plus ``ground_truth``.
     """
-    if axis not in ("n", "e"):
-        raise ValueError(f"axis must be 'n' or 'e', got {axis!r}")
-    positions = np.linspace(-extent / 2.0, extent / 2.0, resolution)
-    zeros = np.zeros(resolution)
-    centroids = np.stack([positions, zeros] if axis == "n" else [zeros, positions], axis=-1)
-    feats = centroid_features(formation, centroids, altitude, speed)
-    columns = {name: predictor(feats)[:, 2] for name, predictor in predictors.items()}
-    columns["ground_truth"] = truth(feats)[:, 2]
-    return SliceProfile(axis=axis, positions=positions, columns=columns)
+    callables = {**predictors, "ground_truth": truth}
+    return report_planes(callables, [(formation, altitude)], axis, extent, resolution, 0, speed)[0][0]
 
 
 def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
@@ -146,9 +153,30 @@ def contour_grid(
     Returns (axis, grids): the grid axis, shared by n and e, and per name a
     (resolution, resolution) array with grids[name][i, j] at (axis[i], axis[j]).
     """
-    axis, feats = _plane(formation, altitude, extent, resolution, speed)
-    shape = (resolution, resolution)
-    return axis, {name: predictor(feats)[:, 2].reshape(shape) for name, predictor in predictors.items()}
+    _, axis, grids = report_planes(predictors, [(formation, altitude)], "e", extent, 0, resolution, speed)[0]
+    return axis, grids
+
+
+def report_planes(callables: dict, planes, slice_axis, extent, slice_resolution, contour_resolution, speed) -> list:
+    """:func:`slice_profile` and :func:`contour_grid` of each (formation,
+    altitude) plane for the named batch callables, as (profile, axis, grids).
+    A plane's slice and contour centroids make one feature batch, and all the
+    batches go through :func:`predict_batches` together."""
+    if slice_axis not in ("n", "e"):
+        raise ValueError(f"axis must be 'n' or 'e', got {slice_axis!r}")
+    positions = np.linspace(-extent / 2.0, extent / 2.0, slice_resolution)
+    zeros = np.zeros(slice_resolution)
+    line = np.stack([positions, zeros] if slice_axis == "n" else [zeros, positions], axis=-1)
+    axis, grid = _grid(extent, contour_resolution)
+    centroids = np.concatenate([line, grid])
+    batches = [centroid_features(formation, centroids, altitude, speed) for formation, altitude in planes]
+    out = []
+    for results in predict_batches(list(callables.values()), batches):
+        forces = dict(zip(callables, (wrench[:, 2] for wrench in results)))
+        columns = {name: values[:slice_resolution] for name, values in forces.items()}
+        grids = {name: values[slice_resolution:].reshape(axis.size, axis.size) for name, values in forces.items()}
+        out.append((SliceProfile(slice_axis, positions, columns), axis, grids))
+    return out
 
 
 def contour_to_csv(axis, grids: dict, paths: dict) -> None:
@@ -202,7 +230,7 @@ def benchmark(
     speed: float = 0.5,
 ) -> EvalReport:
     """Cross-product evaluation of all models over formations and altitudes;
-    the truth is evaluated once per (formation, altitude) plane."""
+    the models and the truth see every plane of one K in one call."""
     report = EvalReport(
         config={
             "extent": extent,
@@ -211,18 +239,18 @@ def benchmark(
             "altitudes": [float(a) for a in altitudes],
         }
     )
-    for formation in formations:
-        for altitude in altitudes:
-            feats = _error_plane(formation, altitude, extent, resolution, speed)
-            expected = truth(feats)
-            plane = {"formation": formation.label(), "k": formation.k, "altitude": float(altitude)}
-            rows = []
-            for name, predictor in models.items():
-                errors = [float(v) for v in _relative_error(predictor(feats), expected)]
-                rows.append({**plane, "model": name, "errors": errors, "wins": [False] * 6})
-            for ax in range(6):
-                finite = [row for row in rows if math.isfinite(row["errors"][ax])]
-                if finite:
-                    min(finite, key=lambda row: row["errors"][ax])["wins"][ax] = True
-            report.rows += rows
+    planes = [(formation, altitude) for formation in formations for altitude in altitudes]
+    batches = [_error_plane(formation, altitude, extent, resolution, speed) for formation, altitude in planes]
+    results = predict_batches([*models.values(), truth], batches)
+    for (formation, altitude), (*predictions, expected) in zip(planes, results):
+        plane = {"formation": formation.label(), "k": formation.k, "altitude": float(altitude)}
+        rows = []
+        for name, prediction in zip(models, predictions):
+            errors = [float(v) for v in _relative_error(prediction, expected)]
+            rows.append({**plane, "model": name, "errors": errors, "wins": [False] * 6})
+        for ax in range(6):
+            finite = [row for row in rows if math.isfinite(row["errors"][ax])]
+            if finite:
+                min(finite, key=lambda row: row["errors"][ax])["wins"][ax] = True
+        report.rows += rows
     return report

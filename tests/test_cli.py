@@ -12,6 +12,10 @@ import pytest
 import downwash
 from downwash import cli
 from downwash.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
+from downwash.config import altitude_tag, load_config
+from downwash.evaluate import EvalReport, SliceProfile, benchmark, contour_to_csv
+from downwash.field import make_oracle
+from downwash.formations import centroid_features, midpoints
 from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, load_model, save_model
 from downwash.rng import stream
 
@@ -162,6 +166,68 @@ def test_eval_and_report_outputs(tmp_path):
     assert main(["report", "--config", str(cfg)]) == EXIT_OK
     assert (reports / "slice_leader_follower_k3_1p3.csv").exists()
     assert (reports / "contour_leader_follower_k3_1p3_ground_truth.csv").exists()
+
+
+def test_eval_and_report_match_a_per_plane_computation(tmp_path, monkeypatch):
+    """Planes of K = 2, 2, 3 at two altitudes: each stage calls the oracle once
+    per K, and writes the bytes that computing each plane on its own gives."""
+    cfg_path = _cfg(tmp_path)
+    overrides = [
+        "eval.formations=[{kind: side_by_side, k: 2}, {kind: stack, k: 2}, {kind: leader_follower, k: 3}]",
+        "eval.altitudes=[0.3, 1.3]",
+    ]
+    args = [arg for value in overrides for arg in ("--set", value)]
+    assert main(["gen", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    truth_calls = []
+
+    def counted_oracle(*params):
+        oracle = make_oracle(*params)
+
+        def truth(feats):
+            truth_calls.append(feats.shape[1])
+            return oracle(feats)
+
+        return truth
+
+    monkeypatch.setattr(cli, "make_oracle", counted_oracle)
+    for stage in ("eval", "report"):
+        truth_calls.clear()
+        assert main([stage, "--config", str(cfg_path), *args]) == EXIT_OK
+        assert truth_calls == [2, 3]
+
+    cfg = load_config(cfg_path, overrides)
+    ev, speed = cfg.evaluation, cfg.sweep.speed
+    models = {name: load_model(cfg.output_dir / "models" / f"{name}.json").predict_batch for name in cli.MODEL_NAMES}
+    truth = make_oracle(ev.oracle, cfg.field_params, cfg.merge_params)
+    callables = {**models, "ground_truth": truth}
+    ref = tmp_path / "ref"
+    rows = []
+    for formation in ev.formations:
+        for altitude in ev.altitudes:
+            plane = benchmark(models, [formation], truth, [altitude], ev.extent, ev.resolution, speed)
+            rows += plane.rows
+            tag = f"{formation.label()}_{altitude_tag(altitude)}"
+            positions = np.linspace(-ev.extent / 2.0, ev.extent / 2.0, ev.slice_resolution)
+            line = np.stack([np.zeros_like(positions), positions], axis=-1)
+            feats = centroid_features(formation, line, altitude, speed)
+            columns = {name: fn(feats)[:, 2] for name, fn in callables.items()}
+            SliceProfile("e", positions, columns).to_csv(ref / f"slice_{tag}.csv")
+            axis = midpoints(ev.extent, ev.contour_resolution)
+            n, e = np.meshgrid(axis, axis, indexing="ij")
+            feats = centroid_features(formation, np.stack([n.ravel(), e.ravel()], axis=-1), altitude, speed)
+            grids = {name: fn(feats)[:, 2].reshape(len(axis), len(axis)) for name, fn in callables.items()}
+            contour_to_csv(axis, grids, {name: ref / f"contour_{tag}_{name}.csv" for name in grids})
+    table = EvalReport(rows, {**plane.config, "altitudes": list(ev.altitudes), "oracle": ev.oracle, "seed": cfg.seed})
+    table.to_csv(ref / "benchmark.csv")
+    table.to_json(ref / "benchmark.json")
+
+    reports = tmp_path / "run" / "reports"
+    written = sorted(path.name for path in reports.iterdir())
+    assert written == sorted(path.name for path in ref.iterdir())
+    assert len(written) == 2 + 6 * (1 + 4)
+    for name in written:
+        assert (reports / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_missing_config_is_io_error(tmp_path):

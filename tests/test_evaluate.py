@@ -14,11 +14,13 @@ from downwash.evaluate import (
     contour_to_csv,
     count_peaks,
     integrated_plane_error,
+    predict_batches,
     slice_profile,
 )
 from downwash.field import DownwashParams, MergeParams, NoiseParams, make_oracle
-from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
-from downwash.models import fit_grid
+from downwash.formations import Formation, FormationKind, SweepConfig, centroid_features, generate_sweep
+from downwash.models import DeepSetModel, LinearAggModel, fit_grid
+from downwash.rng import stream
 
 P = DownwashParams()
 M = MergeParams()
@@ -138,6 +140,45 @@ def test_contour_grid_passes_one_batch_to_each_callable_once():
     _, alone = contour_grid({"mer": MER}, LF3, 1.3, resolution=12)
     np.testing.assert_array_equal(alone["mer"], grids["a"])
     np.testing.assert_array_equal(axis, (np.arange(12) + 0.5) * (2.0 / 12) - 1.0)
+
+
+def test_predict_batches_calls_each_callable_once_per_k():
+    """Batches of K = 2, 3, 2, 4: one call per K in first-seen order, results
+    in input order, each bitwise equal to the callable on that batch alone."""
+    cfg = SweepConfig(legs=6, samples_per_leg=20, altitudes=(0.8, 1.3))
+    grid = fit_grid(generate_sweep(K1, cfg, "merging", P, M, NoiseParams(seed=3)), cfg, (6, 8))
+    callables = [
+        grid.predict_batch,
+        LinearAggModel.initialised(stream(5)).predict_batch,
+        DeepSetModel.initialised(stream(6)).predict_batch,
+        MER,
+    ]
+    stack2 = Formation(FormationKind.STACK, 2, 0.5)
+    lf4 = Formation(FormationKind.LEADER_FOLLOWER, 4, 0.5)
+    rng = np.random.default_rng(0)
+    batches = [
+        centroid_features(formation, rng.uniform(-1.0, 1.0, (m, 2)), altitude)
+        for formation, m, altitude in ((SBS2, 17, 0.8), (LF3, 64, 1.3), (stack2, 33, 1.3), (lf4, 5, 0.3))
+    ]
+    calls = []
+
+    def counted(fn):
+        def call(feats):
+            calls.append((fn, feats.shape))
+            return fn(feats)
+
+        return call
+
+    out = predict_batches([counted(fn) for fn in callables], batches)
+    shapes = [(50, 2, 6), (64, 3, 6), (5, 4, 6)]
+    assert calls == [(fn, shape) for shape in shapes for fn in callables]
+    assert len(out) == len(batches)
+    for feats, results in zip(batches, out):
+        assert len(results) == len(callables)
+        for fn, result in zip(callables, results):
+            alone = fn(feats)
+            assert result.shape == alone.shape == (len(feats), 6) and result.dtype == alone.dtype
+            assert result.tobytes() == alone.tobytes()
 
 
 def test_benchmark_same_model_twice_gives_identical_columns():
