@@ -11,6 +11,12 @@ are named from ``Formation.label()`` and :func:`altitude_tag`, so no two
 ``eval.formations`` may share a label and no two ``eval.altitudes`` a tag.  All
 randomness derives from the one global seed through named substreams
 (dataset:<name>, init:<model>, train:<model>).
+
+YAML text, from the file or an override value, may nest at most
+:data:`MAX_DEPTH` collections (the shipped configs nest 4).  libyaml builds
+nested collections by recursion in C, so about 25 000 levels overflow an 8 MB
+stack and end the process; the depth is counted on the parser's events, which
+libyaml makes without recursing, before anything is built.
 """
 
 from __future__ import annotations
@@ -37,10 +43,8 @@ Oracle = Literal["additive", "merging"]
 # libyaml's parser where PyYAML was built with it; both give the same
 # documents, the C one about eight times faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# The C parser reports text it cannot encode (a lone surrogate from a
-# non-UTF-8 command line) as a UnicodeError, not a YAMLError; a config file
-# that is not UTF-8 fails to decode with one under either parser.
-_YAML_ERRORS = (yaml.YAMLError, UnicodeError)
+# The deepest collection nesting config text may have; see the module docstring.
+MAX_DEPTH = 100
 
 
 # The repr a message quotes a config value with: lists and mappings are cut
@@ -52,6 +56,24 @@ _brief.maxstring = _brief.maxother = 80
 
 class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
+
+
+def _load_yaml(text: str, where: str):
+    """The YAML document in ``text``, or a ConfigError at ``where``: for text
+    that does not parse, nests more than :data:`MAX_DEPTH` collections, or
+    holds a scalar PyYAML cannot build (``2021-13-45``, ``!!int x``)."""
+    try:
+        depth = 0
+        for event in yaml.parse(text, Loader=_LOADER):
+            depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+            if depth > MAX_DEPTH:
+                raise yaml.YAMLError(f"collections nested more than {MAX_DEPTH} deep")
+        return yaml.load(text, Loader=_LOADER)
+    # Besides YAMLError: the constructors raise ValueError, IndexError, ... on
+    # malformed scalars, and the C parser raises UnicodeError on text it cannot
+    # encode (a lone surrogate from a non-UTF-8 command line).
+    except Exception as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _mapping(obj, path: str) -> dict:
@@ -303,23 +325,21 @@ def parse_config(doc: dict) -> RunConfig:
 
 def apply_override(doc: dict, assignment: str) -> None:
     """Apply one ``section.key=value`` override; the value is parsed as YAML."""
+    name = f"override {_brief.repr(assignment)}"
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form section.key=value")
+        raise ConfigError(f"{name} is not of the form section.key=value")
     dotted, raw = assignment.split("=", 1)
     keys = [k for k in dotted.strip().split(".") if k]
     if not keys:
-        raise ConfigError(f"override {assignment!r} has an empty key path")
-    try:
-        value = yaml.load(raw, Loader=_LOADER)
-    except _YAML_ERRORS as exc:
-        raise ConfigError(f"override {assignment!r}: cannot parse value ({exc})")
+        raise ConfigError(f"{name} has an empty key path")
+    value = _load_yaml(raw, f"{name}: cannot parse value")
     node = doc
     for key in keys[:-1]:
         nxt = node.get(key)
         if nxt is None:
             nxt = node[key] = {}
         if not isinstance(nxt, dict):
-            raise ConfigError(f"override {assignment!r}: {key} is not a mapping")
+            raise ConfigError(f"{name}: {key} is not a mapping")
         node = nxt
     node[keys[-1]] = value
 
@@ -328,10 +348,10 @@ def load_config(path, overrides=(), seed=None, output_dir=None) -> RunConfig:
     """Read, override and validate a YAML run configuration."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.load(fh, Loader=_LOADER)
-    except _YAML_ERRORS as exc:
+            text = fh.read()
+    except UnicodeError as exc:  # not UTF-8
         raise ConfigError(f"{path}: {exc}")
-    doc = _mapping(doc, "config")
+    doc = _mapping(_load_yaml(text, str(path)), "config")
     for assignment in overrides:
         apply_override(doc, assignment)
     if seed is not None:

@@ -8,10 +8,13 @@ are reported as not-applicable (NaN) instead of dividing by zero.
 
 Predictors and the truth are *batch callables*: each maps a feature batch
 (m, K, 6) to a wrench batch (m, 6), as ``model.predict_batch`` and the
-functions that :func:`downwash.field.make_oracle` returns do.  Each plane is
-one batch built by :func:`downwash.formations.centroid_features`; a report
-plane holds its slice and contour points.  :func:`predict_batches` joins the
-batches of one neighbour count K, so each stage calls each callable once per K.
+functions that :func:`downwash.field.make_oracle` returns do.  The entry
+points are :func:`benchmark`, the error table (:func:`integrated_plane_error`
+is its one-plane case), and :func:`report_planes`, the slices and contours.
+Each plane is one batch built by :func:`downwash.formations.centroid_features`;
+a report plane holds its slice and contour points.  :func:`predict_batches`,
+the only caller of the callables, joins the batches of one neighbour count K,
+so each stage calls each callable once per K.
 
 :func:`benchmark` marks each plane's winners where it computes that plane's
 errors: on each axis, the first model with the lowest finite error wins.
@@ -38,17 +41,10 @@ AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
 
 
 def _grid(extent: float, resolution: int):
-    """The midpoint lateral grid axis and its (resolution**2, 2) centroids, n-major; empty at 0."""
-    axis = midpoints(extent, resolution) if resolution else np.zeros(0)
+    """The midpoint lateral grid axis and its (resolution**2, 2) centroids, n-major."""
+    axis = midpoints(extent, resolution)
     n, e = np.meshgrid(axis, axis, indexing="ij")
     return axis, np.stack([n.ravel(), e.ravel()], axis=-1)
-
-
-def _error_plane(formation: Formation, altitude: float, extent: float, resolution: int, speed: float):
-    """The feature batch of an error-integration plane, at least 8 x 8 points."""
-    if resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
-    return centroid_features(formation, _grid(extent, resolution)[1], altitude, speed)
 
 
 def predict_batches(callables, batches) -> list:
@@ -86,14 +82,15 @@ def integrated_plane_error(
     resolution: int = 64,
     speed: float = 0.5,
 ) -> np.ndarray:
-    """Normalized per-axis error integrated over the lateral plane.
+    """Normalized per-axis error integrated over the lateral plane: the
+    :func:`benchmark` of one plane and one predictor.
 
     ``predictor`` and ``truth`` are batch callables.  Returns a 6-vector; NaN
     marks axes whose ground truth is identically zero on the plane
     (not-applicable).
     """
-    feats = _error_plane(formation, altitude, extent, resolution, speed)
-    return _relative_error(predictor(feats), truth(feats))
+    report = benchmark({"model": predictor}, [formation], truth, [altitude], extent, resolution, speed)
+    return np.array(report.rows[0]["errors"])
 
 
 @dataclass
@@ -102,29 +99,11 @@ class SliceProfile:
 
     axis: str                      # "n" or "e"
     positions: np.ndarray
-    columns: dict                  # name -> D-force array, truth last
+    columns: dict                  # name -> D-force array
 
     def to_csv(self, path) -> None:
         table = np.column_stack([self.positions, *self.columns.values()])
         write_float_rows(path, [f"{self.axis}_position", *self.columns], table)
-
-
-def slice_profile(
-    predictors: dict,
-    truth,
-    formation: Formation,
-    altitude: float,
-    axis: str = "e",
-    extent: float = 2.0,
-    resolution: int = 201,
-    speed: float = 0.5,
-) -> SliceProfile:
-    """D-axis forces along one lateral axis through the formation centroid.
-
-    Emits one aligned column per named predictor plus ``ground_truth``.
-    """
-    callables = {**predictors, "ground_truth": truth}
-    return report_planes(callables, [(formation, altitude)], axis, extent, resolution, 0, speed)[0][0]
 
 
 def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
@@ -139,29 +118,15 @@ def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
     return int(len(peaks))
 
 
-def contour_grid(
-    predictors: dict,
-    formation: Formation,
-    altitude: float,
-    extent: float = 2.0,
-    resolution: int = 64,
-    speed: float = 0.5,
-):
-    """D-force of each named batch callable on the midpoint lateral grid (same
-    sampling as the error metric), from one feature batch.
-
-    Returns (axis, grids): the grid axis, shared by n and e, and per name a
-    (resolution, resolution) array with grids[name][i, j] at (axis[i], axis[j]).
-    """
-    _, axis, grids = report_planes(predictors, [(formation, altitude)], "e", extent, 0, resolution, speed)[0]
-    return axis, grids
-
-
-def report_planes(callables: dict, planes, slice_axis, extent, slice_resolution, contour_resolution, speed) -> list:
-    """:func:`slice_profile` and :func:`contour_grid` of each (formation,
-    altitude) plane for the named batch callables, as (profile, axis, grids).
-    A plane's slice and contour centroids make one feature batch, and all the
-    batches go through :func:`predict_batches` together."""
+def report_planes(
+    callables: dict, planes, slice_axis="e", extent=2.0, slice_resolution=201, contour_resolution=64, speed=0.5
+) -> list:
+    """D-forces of the named batch callables on each (formation, altitude)
+    plane, as (profile, axis, grids): the slice along ``slice_axis`` through the
+    formation centroid, and per name the contour on the error metric's midpoint
+    grid, ``grids[name][i, j]`` at (n, e) = (axis[i], axis[j]).  A plane's slice
+    and contour centroids make one feature batch, and all the batches go
+    through :func:`predict_batches` together."""
     if slice_axis not in ("n", "e"):
         raise ValueError(f"axis must be 'n' or 'e', got {slice_axis!r}")
     positions = np.linspace(-extent / 2.0, extent / 2.0, slice_resolution)
@@ -180,7 +145,7 @@ def report_planes(callables: dict, planes, slice_axis, extent, slice_resolution,
 
 
 def contour_to_csv(axis, grids: dict, paths: dict) -> None:
-    """Write each grid of :func:`contour_grid` to ``paths[name]`` as
+    """Write each grid of :func:`report_planes` to ``paths[name]`` as
     ``n,e,f_d`` rows, n-major; each row's ``n,e`` cells are encoded once for
     all the files."""
     cells = list(map(repr, axis.tolist()))
@@ -204,7 +169,7 @@ class EvalReport:
         for row in self.rows:
             cells = [row["formation"], str(row["k"]), repr(row["altitude"]), row["model"]]
             cells += ["" if math.isnan(v) else repr(v) for v in row["errors"]]
-            cells += [str(int(w)) for w in row.get("wins", [False] * 6)]
+            cells += [str(int(w)) for w in row["wins"]]
             lines.append(cells)
         write_csv(path, lines)
 
@@ -230,7 +195,10 @@ def benchmark(
     speed: float = 0.5,
 ) -> EvalReport:
     """Cross-product evaluation of all models over formations and altitudes;
-    the models and the truth see every plane of one K in one call."""
+    the models and the truth see every plane of one K in one call; at least
+    8 x 8 points per plane."""
+    if resolution < 8:
+        raise ValueError(f"resolution must be >= 8, got {resolution}")
     report = EvalReport(
         config={
             "extent": extent,
@@ -239,8 +207,9 @@ def benchmark(
             "altitudes": [float(a) for a in altitudes],
         }
     )
+    grid = _grid(extent, resolution)[1]
     planes = [(formation, altitude) for formation in formations for altitude in altitudes]
-    batches = [_error_plane(formation, altitude, extent, resolution, speed) for formation, altitude in planes]
+    batches = [centroid_features(formation, grid, altitude, speed) for formation, altitude in planes]
     results = predict_batches([*models.values(), truth], batches)
     for (formation, altitude), (*predictions, expected) in zip(planes, results):
         plane = {"formation": formation.label(), "k": formation.k, "altitude": float(altitude)}

@@ -21,12 +21,7 @@ import pytest
 
 from downwash.cli import EXIT_OK, main
 from downwash.core import relative_features
-from downwash.evaluate import (
-    contour_grid,
-    count_peaks,
-    integrated_plane_error,
-    slice_profile,
-)
+from downwash.evaluate import count_peaks, integrated_plane_error, report_planes
 from downwash.field import (
     DownwashParams,
     MergeParams,
@@ -207,7 +202,7 @@ def nonlinear_pipeline():
         name: integrated_plane_error(pred, truth, LF3, 1.3, resolution=64)
         for name, pred in predictors.items()
     }
-    profile = slice_profile(predictors, truth, LF3, 1.3, axis="e", resolution=201)
+    profile = report_planes({**predictors, "ground_truth": truth}, [(LF3, 1.3)])[0][0]
     elapsed = time.perf_counter() - start
     return {
         "errors": errors,
@@ -259,8 +254,10 @@ def test_criterion_6_altitude_trend():
 
 def test_criterion_7_single_vehicle_column_width():
     radii = {}
-    for altitude in (0.3, 0.8, 1.3):
-        _, grids = contour_grid({"additive": make_oracle("additive", P)}, K1, altitude, resolution=128)
+    altitudes = (0.3, 0.8, 1.3)
+    additive = {"additive": make_oracle("additive", P)}
+    planes = report_planes(additive, [(K1, altitude) for altitude in altitudes], contour_resolution=128)
+    for altitude, (_, _, grids) in zip(altitudes, planes):
         values = grids["additive"]
         cell_area = (2.0 / 128) ** 2
         area = np.count_nonzero(values >= 0.5 * values.max()) * cell_area

@@ -245,7 +245,41 @@ def test_deeply_nested_config_value_is_config_error(tmp_path, capsys, pairs):
     path = tmp_path / "nested.yaml"
     path.write_text("seed: " + "[" * pairs + "]" * pairs + "\n", encoding="utf-8")
     assert main(["gen", "--config", str(path)]) == EXIT_CONFIG
-    assert "seed: expected int" in capsys.readouterr().err
+    assert f"{path}: collections nested more than 100 deep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", [25000, 50000])
+def test_nesting_that_overflows_libyaml_is_config_error(tmp_path, pairs):
+    """Nesting that libyaml's recursive build cannot survive is refused before
+    it is built; in a child process, so a crash shows as its exit status."""
+    path = tmp_path / "nested.yaml"
+    path.write_text("seed: " + "[" * pairs + "]" * pairs + "\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "downwash.cli", "gen", "--config", str(path)],
+        env={**os.environ, "PYTHONPATH": str(Path(downwash.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
+    assert str(path) in done.stderr and "nested more than 100 deep" in done.stderr
+
+
+MALFORMED_SCALARS = ["2021-13-45", "2021-02-30", "!!int x", "!!float ", "!!timestamp "]
+
+
+@pytest.mark.parametrize("scalar", MALFORMED_SCALARS)
+def test_scalar_yaml_cannot_build_is_config_error(tmp_path, capsys, scalar):
+    path = tmp_path / "scalar.yaml"
+    path.write_text(f"seed: {scalar}\n", encoding="utf-8")
+    assert main(["gen", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "Traceback" not in err, err
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg), "--set", f"seed={scalar}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"override {f'seed={scalar}'!r}: cannot parse value" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_diverging_training_exits_4(tmp_path, capsys):

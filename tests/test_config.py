@@ -322,3 +322,28 @@ def test_fuzzed_overrides_of_a_valid_config_parse_or_name_a_path(assignments):
             node = node[key]
         node[last] = value
     _parses_or_names_a_path(doc)
+
+
+# Pieces of YAML text, so the fuzzed texts reach the parser and the scalar
+# constructors: brackets deep enough to pass the depth limit, anchors and
+# aliases, tags, and timestamps, numbers and quotes that do not build.
+_FRAGMENTS = ["[", "]", "{", "}", ", ", ": ", "- ", "&a ", "*a", "!!int ", "!!float ", "!!timestamp ", "!!binary ",
+              "!!str ", "2021-", "13-45", "02-30", "1e999", ".nan", "0x", "7", "x", "'", '"', "\n", "\n  ", "#",
+              "[" * 60, "]" * 60]
+
+
+@FUZZ
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join))
+def test_fuzzed_yaml_text_loads_or_is_config_error(tmp_path_factory, text):
+    """A seed value as text, given as an override and in a config file: the
+    config loads or the reader refuses it, never another exception."""
+    base = tmp_path_factory.getbasetemp() / "fuzzed_text"
+    base.mkdir(exist_ok=True)
+    minimal, path = base / "minimal.yaml", base / "seed.yaml"
+    minimal.write_text(MINIMAL, encoding="utf-8")
+    path.write_text(f"seed: {text}\n", encoding="utf-8")
+    for load in (lambda: load_config(minimal, overrides=[f"seed={text}"]), lambda: load_config(path)):
+        try:
+            assert isinstance(load(), RunConfig)
+        except ConfigError:
+            pass

@@ -10,12 +10,11 @@ from downwash.evaluate import (
     EvalReport,
     SliceProfile,
     benchmark,
-    contour_grid,
     contour_to_csv,
     count_peaks,
     integrated_plane_error,
     predict_batches,
-    slice_profile,
+    report_planes,
 )
 from downwash.field import DownwashParams, MergeParams, NoiseParams, make_oracle
 from downwash.formations import Formation, FormationKind, SweepConfig, centroid_features, generate_sweep
@@ -78,7 +77,7 @@ def test_metric_stable_under_resolution_refinement():
 
 
 def test_slice_profile_three_additive_peaks_half_metre_apart():
-    prof = slice_profile({}, ADD, LF3, 0.3, axis="e", resolution=401)
+    prof = report_planes({"ground_truth": ADD}, [(LF3, 0.3)], slice_resolution=401)[0][0]
     truth = prof.columns["ground_truth"]
     assert count_peaks(truth) == 3
     peaks, _ = signal.find_peaks(truth, prominence=0.2 * (truth.max() - truth.min()))
@@ -87,19 +86,19 @@ def test_slice_profile_three_additive_peaks_half_metre_apart():
 
 
 def test_slice_profile_single_vehicle_peak_centres_on_neighbour():
-    prof = slice_profile({}, ADD, K1, 0.8, axis="e", resolution=401)
+    prof = report_planes({"ground_truth": ADD}, [(K1, 0.8)], slice_resolution=401)[0][0]
     truth = prof.columns["ground_truth"]
     assert count_peaks(truth) == 1
     assert abs(prof.positions[int(np.argmax(truth))]) < 0.01
 
 
 def test_slice_profile_merging_merges_peaks_at_altitude():
-    prof = slice_profile({}, MER, LF3, 1.3, axis="e", resolution=401)
+    prof = report_planes({"ground_truth": MER}, [(LF3, 1.3)], slice_resolution=401)[0][0]
     assert count_peaks(prof.columns["ground_truth"]) < 3
 
 
 def test_slice_profile_includes_model_columns(tmp_path):
-    prof = slice_profile({"zero": zero_predictor}, ADD, K1, 0.8, resolution=21)
+    prof = report_planes({"zero": zero_predictor, "ground_truth": ADD}, [(K1, 0.8)], slice_resolution=21)[0][0]
     assert list(prof.columns) == ["zero", "ground_truth"]
     assert np.all(prof.columns["zero"] == 0.0)
     out = tmp_path / "slice.csv"
@@ -109,17 +108,17 @@ def test_slice_profile_includes_model_columns(tmp_path):
 
 
 def test_contour_symmetric_formation_reflects_in_n():
-    _, grids = contour_grid({"add": ADD}, SBS2, 0.8, resolution=32)
+    _, _, grids = report_planes({"add": ADD}, [(SBS2, 0.8)], contour_resolution=32)[0]
     np.testing.assert_allclose(grids["add"], grids["add"][::-1, :], atol=1e-9)
 
 
 def test_contour_additive_support_exceeds_merging():
-    _, grids = contour_grid({"add": ADD, "mer": MER}, LF3, 1.3, resolution=48)
+    _, _, grids = report_planes({"add": ADD, "mer": MER}, [(LF3, 1.3)], contour_resolution=48)[0]
     assert support_count(grids["add"]) > support_count(grids["mer"])
 
 
 def test_contour_zero_predictor_all_zero(tmp_path):
-    axis, grids = contour_grid({"zero": zero_predictor}, LF3, 1.3, resolution=16)
+    _, axis, grids = report_planes({"zero": zero_predictor}, [(LF3, 1.3)], contour_resolution=16)[0]
     assert np.all(grids["zero"] == 0.0)
     contour_to_csv(axis, grids, {"zero": tmp_path / "c.csv"})
     assert (tmp_path / "c.csv").read_text().splitlines()[0] == "n,e,f_d"
@@ -132,12 +131,16 @@ def test_contour_grid_passes_one_batch_to_each_callable_once():
         batches.append(feats)
         return MER(feats)
 
-    axis, grids = contour_grid({"a": recording, "b": recording, "zero": zero_predictor}, LF3, 1.3, resolution=12)
-    assert len(batches) == 2 and batches[0] is batches[1] and batches[0].shape == (144, 3, 6)
-    assert list(grids) == ["a", "b", "zero"]
-    np.testing.assert_array_equal(grids["a"], MER(batches[0])[:, 2].reshape(12, 12))
+    callables = {"a": recording, "b": recording, "zero": zero_predictor}
+    profile, axis, grids = report_planes(callables, [(LF3, 1.3)], contour_resolution=12)[0]
+    # one batch: the plane's 201 slice rows, then its 12 x 12 contour rows
+    assert len(batches) == 2 and batches[0] is batches[1] and batches[0].shape == (201 + 144, 3, 6)
+    assert list(grids) == ["a", "b", "zero"] and list(profile.columns) == ["a", "b", "zero"]
+    forces = MER(batches[0])[:, 2]
+    np.testing.assert_array_equal(profile.columns["a"], forces[:201])
+    np.testing.assert_array_equal(grids["a"], forces[201:].reshape(12, 12))
     np.testing.assert_array_equal(grids["b"], grids["a"])
-    _, alone = contour_grid({"mer": MER}, LF3, 1.3, resolution=12)
+    _, _, alone = report_planes({"mer": MER}, [(LF3, 1.3)], contour_resolution=12)[0]
     np.testing.assert_array_equal(alone["mer"], grids["a"])
     np.testing.assert_array_equal(axis, (np.arange(12) + 0.5) * (2.0 / 12) - 1.0)
 
@@ -220,7 +223,8 @@ def test_report_files_are_deterministic(tmp_path):
 
 
 def _table(value):
-    return EvalReport(rows=[{"formation": "x", "k": 1, "altitude": 0.8, "model": "m", "errors": [value] * 6}])
+    row = {"formation": "x", "k": 1, "altitude": 0.8, "model": "m", "errors": [value] * 6, "wins": [False] * 6}
+    return EvalReport(rows=[row])
 
 
 REPORT_WRITERS = {
@@ -291,3 +295,19 @@ def test_report_header_that_csv_would_quote_is_refused(tmp_path):
 
 def test_count_peaks_flat_signal_is_zero():
     assert count_peaks(np.zeros(50)) == 0
+
+
+def test_n_slice_meets_both_side_by_side_columns():
+    """The n slice crosses the pair, one peak under each vehicle 0.25 m either
+    side of the centroid; the e slice runs between them and sees one."""
+    profiles = {
+        axis: report_planes({"ground_truth": ADD}, [(SBS2, 0.3)], axis, slice_resolution=401)[0][0]
+        for axis in ("n", "e")
+    }
+    across = profiles["n"].columns["ground_truth"]
+    assert profiles["n"].axis == "n" and count_peaks(across) == 2
+    peaks, _ = signal.find_peaks(across, prominence=0.2 * (across.max() - across.min()))
+    np.testing.assert_allclose(profiles["n"].positions[peaks], [-0.25, 0.25], atol=0.02)
+    assert count_peaks(profiles["e"].columns["ground_truth"]) == 1
+    with pytest.raises(ValueError, match="'x'"):
+        report_planes({"ground_truth": ADD}, [(SBS2, 0.3)], "x")
