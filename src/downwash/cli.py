@@ -127,15 +127,7 @@ def _predictors(cfg: RunConfig, models_dir: Path | None) -> tuple:
 def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Benchmark all models against the configured oracle; returns report paths."""
     predictors, truth = _predictors(cfg, models_dir)
-    report = benchmark(
-        predictors,
-        list(cfg.evaluation.formations),
-        truth,
-        cfg.evaluation.altitudes,
-        extent=cfg.evaluation.extent,
-        resolution=cfg.evaluation.resolution,
-        speed=cfg.sweep.speed,
-    )
+    report = benchmark(predictors, truth, cfg.evaluation, cfg.sweep.speed)
     report.config["oracle"] = cfg.evaluation.oracle
     report.config["seed"] = cfg.seed
     out = cfg.output_dir / "reports"
@@ -150,15 +142,10 @@ def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
 def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Export plottable slice-profile and contour CSVs."""
     predictors, truth = _predictors(cfg, models_dir)
-    ev = cfg.evaluation
-    planes = [(formation, altitude) for formation in ev.formations for altitude in ev.altitudes]
-    callables = {**predictors, "ground_truth": truth}
-    results = report_planes(
-        callables, planes, ev.slice_axis, ev.extent, ev.slice_resolution, ev.contour_resolution, cfg.sweep.speed
-    )
+    results = report_planes({**predictors, "ground_truth": truth}, cfg.evaluation, cfg.sweep.speed)
     out = cfg.output_dir / "reports"
     paths = []
-    for (formation, altitude), (profile, axis, grids) in zip(planes, results):
+    for (formation, altitude), (profile, axis, grids) in zip(cfg.evaluation.planes(), results):
         tag = f"{formation.label()}_{altitude_tag(altitude)}"
         paths.append(out / f"slice_{tag}.csv")
         profile.to_csv(paths[-1])

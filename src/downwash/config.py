@@ -3,14 +3,15 @@
 The schema is the dataclass fields.  Each YAML section is built by
 :func:`build` from the fields and annotations of one dataclass
 (``DownwashParams``, ``MergeParams``, ``NoiseParams``, ``SweepConfig``,
-``TrainConfig``, ``Formation`` and the settings classes below): keys are the
-field names, defaults are the field defaults, and range checks live in each
-class's ``__post_init__``.  Unknown keys are rejected with the offending path
-in the message so typos cannot silently change an experiment.  Report files
-are named from ``Formation.label()`` and :func:`altitude_tag`, so no two
-``eval.formations`` may share a label and no two ``eval.altitudes`` a tag.  All
-randomness derives from the one global seed through named substreams
-(dataset:<name>, init:<model>, train:<model>).
+``TrainConfig``, ``Formation``, the model settings classes below, and
+``EvalSettings``, which lives in :mod:`downwash.evaluate` beside the functions
+that read it): keys are the field names, defaults are the field defaults, and
+range checks live in each class's ``__post_init__``.  Unknown keys are
+rejected with the offending path in the message so typos cannot silently
+change an experiment.  Report files are named from ``Formation.label()`` and
+:func:`altitude_tag`, so no two ``eval.formations`` may share a label and no
+two ``eval.altitudes`` a tag.  All randomness derives from the one global
+seed through named substreams (dataset:<name>, init:<model>, train:<model>).
 
 YAML text, from the file or an override value, may nest at most
 :data:`MAX_DEPTH` collections (the shipped configs nest 4).  libyaml builds
@@ -33,11 +34,10 @@ from typing import Literal
 
 import yaml
 
-from .field import DownwashParams, MergeParams, NoiseParams
+from .evaluate import EvalSettings
+from .field import DownwashParams, MergeParams, NoiseParams, Oracle
 from .formations import Formation, SweepConfig
 from .training import TrainConfig
-
-Oracle = Literal["additive", "merging"]
 
 
 # libyaml's parser where PyYAML was built with it; both give the same
@@ -198,29 +198,6 @@ class DeepSetSettings:
 
     def __post_init__(self):
         _require_sizes(self, "embed_dim", "phi_hidden", "decoder_hidden")
-
-
-@dataclass(frozen=True)
-class EvalSettings:
-    formations: tuple[Formation, ...]
-    oracle: Oracle = "merging"
-    altitudes: tuple[float, ...] = (1.3,)
-    extent: float = 2.0
-    resolution: int = 64
-    slice_axis: Literal["n", "e"] = "e"
-    slice_resolution: int = 201
-    contour_resolution: int = 64
-
-    def __post_init__(self):
-        if min(self.altitudes) <= 0:
-            raise ValueError("altitudes: must be > 0")
-        if self.extent <= 0:
-            raise ValueError("extent: must be > 0")
-        if self.resolution < 8:
-            raise ValueError("resolution: must be >= 8")
-        for name in ("slice_resolution", "contour_resolution"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name}: must be >= 2")
 
 
 def altitude_tag(altitude: float) -> str:

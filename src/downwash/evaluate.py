@@ -11,10 +11,13 @@ Predictors and the truth are *batch callables*: each maps a feature batch
 functions that :func:`downwash.field.make_oracle` returns do.  The entry
 points are :func:`benchmark`, the error table (:func:`integrated_plane_error`
 is its one-plane case), and :func:`report_planes`, the slices and contours.
-Each plane is one batch built by :func:`downwash.formations.centroid_features`;
-a report plane holds its slice and contour points.  :func:`predict_batches`,
-the only caller of the callables, joins the batches of one neighbour count K,
-so each stage calls each callable once per K.
+Both take the ``eval`` config section, :class:`EvalSettings`, and the sweep
+speed; :meth:`EvalSettings.planes` sets the order of the error table's rows
+and of the report files.  Each plane is one batch built by
+:func:`downwash.formations.centroid_features`; a report plane holds its slice
+and contour points.  :func:`predict_batches`, the only caller of the
+callables, joins the batches of one neighbour count K, so each stage calls
+each callable once per K.
 
 :func:`benchmark` marks each plane's winners where it computes that plane's
 errors: on each axis, the first model with the lowest finite error wins.
@@ -30,14 +33,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from .core import WRENCH_AXES
 from .dataset import write_csv, write_float_rows, write_json
-from .formations import Formation, centroid_features, midpoints
+from .field import Oracle
+from .formations import Formation, SweepConfig, centroid_features, midpoints
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    """The ``eval`` config section: the planes, their truth and their grids."""
+
+    formations: tuple[Formation, ...]
+    oracle: Oracle = "merging"
+    altitudes: tuple[float, ...] = (1.3,)
+    extent: float = 2.0
+    resolution: int = 64
+    slice_axis: Literal["n", "e"] = "e"
+    slice_resolution: int = 201
+    contour_resolution: int = 64
+
+    def __post_init__(self):
+        if min(self.altitudes) <= 0:
+            raise ValueError("altitudes: must be > 0")
+        if self.extent <= 0:
+            raise ValueError("extent: must be > 0")
+        if self.resolution < 8:
+            raise ValueError("resolution: must be >= 8")
+        if self.slice_axis not in ("n", "e"):
+            raise ValueError(f"slice_axis: must be 'n' or 'e', got {self.slice_axis!r}")
+        for name in ("slice_resolution", "contour_resolution"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name}: must be >= 2")
+
+    def planes(self) -> list:
+        """The (formation, altitude) planes, formation-major."""
+        return [(formation, altitude) for formation in self.formations for altitude in self.altitudes]
 
 
 def _grid(extent: float, resolution: int):
@@ -78,9 +114,9 @@ def integrated_plane_error(
     truth,
     formation: Formation,
     altitude: float,
-    extent: float = 2.0,
-    resolution: int = 64,
-    speed: float = 0.5,
+    extent: float = EvalSettings.extent,
+    resolution: int = EvalSettings.resolution,
+    speed: float = SweepConfig.speed,
 ) -> np.ndarray:
     """Normalized per-axis error integrated over the lateral plane: the
     :func:`benchmark` of one plane and one predictor.
@@ -89,8 +125,8 @@ def integrated_plane_error(
     marks axes whose ground truth is identically zero on the plane
     (not-applicable).
     """
-    report = benchmark({"model": predictor}, [formation], truth, [altitude], extent, resolution, speed)
-    return np.array(report.rows[0]["errors"])
+    ev = EvalSettings((formation,), altitudes=(altitude,), extent=extent, resolution=resolution)
+    return np.array(benchmark({"model": predictor}, truth, ev, speed).rows[0]["errors"])
 
 
 @dataclass
@@ -118,29 +154,25 @@ def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
     return int(len(peaks))
 
 
-def report_planes(
-    callables: dict, planes, slice_axis="e", extent=2.0, slice_resolution=201, contour_resolution=64, speed=0.5
-) -> list:
-    """D-forces of the named batch callables on each (formation, altitude)
-    plane, as (profile, axis, grids): the slice along ``slice_axis`` through the
+def report_planes(callables: dict, ev: EvalSettings, speed: float) -> list:
+    """D-forces of the named batch callables on each plane of ``ev.planes()``,
+    as (profile, axis, grids): the slice along ``ev.slice_axis`` through the
     formation centroid, and per name the contour on the error metric's midpoint
     grid, ``grids[name][i, j]`` at (n, e) = (axis[i], axis[j]).  A plane's slice
     and contour centroids make one feature batch, and all the batches go
     through :func:`predict_batches` together."""
-    if slice_axis not in ("n", "e"):
-        raise ValueError(f"axis must be 'n' or 'e', got {slice_axis!r}")
-    positions = np.linspace(-extent / 2.0, extent / 2.0, slice_resolution)
-    zeros = np.zeros(slice_resolution)
-    line = np.stack([positions, zeros] if slice_axis == "n" else [zeros, positions], axis=-1)
-    axis, grid = _grid(extent, contour_resolution)
+    positions = np.linspace(-ev.extent / 2.0, ev.extent / 2.0, ev.slice_resolution)
+    zeros = np.zeros(ev.slice_resolution)
+    line = np.stack([positions, zeros] if ev.slice_axis == "n" else [zeros, positions], axis=-1)
+    axis, grid = _grid(ev.extent, ev.contour_resolution)
     centroids = np.concatenate([line, grid])
-    batches = [centroid_features(formation, centroids, altitude, speed) for formation, altitude in planes]
+    batches = [centroid_features(formation, centroids, altitude, speed) for formation, altitude in ev.planes()]
     out = []
     for results in predict_batches(list(callables.values()), batches):
         forces = dict(zip(callables, (wrench[:, 2] for wrench in results)))
-        columns = {name: values[:slice_resolution] for name, values in forces.items()}
-        grids = {name: values[slice_resolution:].reshape(axis.size, axis.size) for name, values in forces.items()}
-        out.append((SliceProfile(slice_axis, positions, columns), axis, grids))
+        columns = {name: values[: ev.slice_resolution] for name, values in forces.items()}
+        grids = {name: values[ev.slice_resolution :].reshape(axis.size, axis.size) for name, values in forces.items()}
+        out.append((SliceProfile(ev.slice_axis, positions, columns), axis, grids))
     return out
 
 
@@ -185,30 +217,14 @@ class EvalReport:
         write_json(path, doc, indent=2)
 
 
-def benchmark(
-    models: dict,
-    formations: list,
-    truth,
-    altitudes,
-    extent: float = 2.0,
-    resolution: int = 64,
-    speed: float = 0.5,
-) -> EvalReport:
-    """Cross-product evaluation of all models over formations and altitudes;
-    the models and the truth see every plane of one K in one call; at least
-    8 x 8 points per plane."""
-    if resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
-    report = EvalReport(
-        config={
-            "extent": extent,
-            "resolution": resolution,
-            "speed": speed,
-            "altitudes": [float(a) for a in altitudes],
-        }
-    )
-    grid = _grid(extent, resolution)[1]
-    planes = [(formation, altitude) for formation in formations for altitude in altitudes]
+def benchmark(models: dict, truth, ev: EvalSettings, speed: float) -> EvalReport:
+    """Evaluation of all models on each plane of ``ev.planes()``, one row per
+    plane and model in that order; the models and the truth see every plane
+    of one K in one call."""
+    report = EvalReport(config={"extent": ev.extent, "resolution": ev.resolution, "speed": speed})
+    report.config["altitudes"] = [float(a) for a in ev.altitudes]
+    grid = _grid(ev.extent, ev.resolution)[1]
+    planes = ev.planes()
     batches = [centroid_features(formation, grid, altitude, speed) for formation, altitude in planes]
     results = predict_batches([*models.values(), truth], batches)
     for (formation, altitude), (*predictions, expected) in zip(planes, results):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -213,7 +214,11 @@ def add_noise(truth: np.ndarray, n: NoiseParams) -> np.ndarray:
     return truth + scale * normal_rows(n.seed, len(truth), 6)
 
 
-def make_oracle(kind: str, params: DownwashParams, merge: MergeParams | None = None):
+# The oracle kinds a dataset entry or the eval section may name.
+Oracle = Literal["additive", "merging"]
+
+
+def make_oracle(kind: Oracle, params: DownwashParams, merge: MergeParams | None = None):
     """The ``kind`` rule's batch function with its parameters bound (``merge``
     defaults to ``MergeParams()``), as dataset generation and the CLI take it."""
     if kind == "additive":

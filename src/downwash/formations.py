@@ -107,7 +107,7 @@ def formation_offsets(kind: FormationKind, k: int, spacing: float) -> np.ndarray
     return offsets
 
 
-def formation_states(formation: Formation, centroids, altitude, speed: float = 0.5) -> np.ndarray:
+def formation_states(formation: Formation, centroids, altitude, speed: float) -> np.ndarray:
     """State batch (m, K+1, 7) of the formation centred at each lateral
     centroid (m, 2) at D = -altitude, moving along +E at ``speed``.
 
@@ -123,7 +123,7 @@ def formation_states(formation: Formation, centroids, altitude, speed: float = 0
     return states
 
 
-def centroid_features(formation: Formation, centroids, altitude, speed: float = 0.5) -> np.ndarray:
+def centroid_features(formation: Formation, centroids, altitude, speed: float) -> np.ndarray:
     """Canonically ordered relative features (m, K, 6) of :func:`formation_states`."""
     return relative_features(formation_states(formation, centroids, altitude, speed))
 

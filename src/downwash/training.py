@@ -73,14 +73,13 @@ class TrainConfig:
             raise ValueError("invalid Adam parameters")
 
 
-def dataset_arrays(data):
-    """Stack one or more datasets into ragged training arrays.
+def dataset_arrays(datasets):
+    """Stack a list of datasets into ragged training arrays.
 
     Returns (rows (R, 6), counts (n,), targets (n, 6)): sample i owns the
     next ``counts[i]`` canonically ordered feature rows, and targets are the
     noisy measurements.
     """
-    datasets = [data] if hasattr(data, "states") else list(data)  # one dataset or several
     if sum(len(d) for d in datasets) == 0:
         raise ValueError("no training records")
     rows = np.concatenate([relative_features(d.states).reshape(-1, FEATURE_DIM) for d in datasets])
@@ -89,7 +88,7 @@ def dataset_arrays(data):
     return rows, counts, targets
 
 
-def loss_weights_for(targets: np.ndarray, sigma_floor: float = 0.05) -> np.ndarray:
+def loss_weights_for(targets: np.ndarray, sigma_floor: float) -> np.ndarray:
     """Per-axis 1/std^2 normalization so N and N*m axes train comparably."""
     std = np.maximum(targets.std(axis=0), sigma_floor)
     return 1.0 / (std * std)
@@ -107,7 +106,7 @@ def batch_loss_and_gradients(model, rows, counts, targets, axis_weights, workspa
     return loss, model.backward(cache, dpred, workspace, out)
 
 
-def train(model, data, cfg: TrainConfig):
+def train(model, datasets, cfg: TrainConfig):
     """Fit ``model`` in place on the noisy measurements; returns the per-epoch
     mean loss history.  The axis weights used go to ``model.metadata``.
 
@@ -118,7 +117,7 @@ def train(model, data, cfg: TrainConfig):
     aborts with :class:`TrainingDivergence`, the run's one report of it: the
     steps run with float overflow and invalid-value warnings silenced.
     """
-    rows, counts, targets = dataset_arrays(data)
+    rows, counts, targets = dataset_arrays(datasets)
     offsets = np.cumsum(counts) - counts
     axis_weights = loss_weights_for(targets, cfg.sigma_floor)
     rows32, targets32, weights32 = (a.astype(np.float32) for a in (rows, targets, axis_weights))

@@ -21,7 +21,7 @@ import pytest
 
 from downwash.cli import EXIT_OK, main
 from downwash.core import relative_features
-from downwash.evaluate import count_peaks, integrated_plane_error, report_planes
+from downwash.evaluate import EvalSettings, count_peaks, integrated_plane_error, report_planes
 from downwash.field import (
     DownwashParams,
     MergeParams,
@@ -34,7 +34,6 @@ from downwash.rng import stream, substream_seed
 from downwash.training import (
     TrainConfig,
     batch_loss_and_gradients,
-    dataset_arrays,
     loss_weights_for,
     train,
 )
@@ -107,7 +106,7 @@ def test_criterion_2_gradient_correctness():
     checked = 0
     for model in (LinearAggModel.initialised(stream(11)), DeepSetModel.initialised(stream(12))):
         targets = rng.uniform(-2, 2, (len(feats), 6))
-        weights = loss_weights_for(targets)
+        weights = loss_weights_for(targets, TrainConfig.sigma_floor)
         _, analytic = batch_loss_and_gradients(model, feats.reshape(-1, 6), np.full(4, 3), targets, weights)
         flat = model.flat
         step = 1e-5
@@ -191,7 +190,7 @@ def nonlinear_pipeline():
     linear = LinearAggModel.initialised(stream(substream_seed(SEED, "init:linear")))
     train(linear, [k1_train, k3_low], TrainConfig(epochs=200, seed=substream_seed(SEED, "train:linear")))
     deepset = DeepSetModel.initialised(stream(substream_seed(SEED, "init:deepset")))
-    train(deepset, k3_full, TrainConfig(epochs=500, seed=substream_seed(SEED, "train:deepset")))
+    train(deepset, [k3_full], TrainConfig(epochs=500, seed=substream_seed(SEED, "train:deepset")))
 
     predictors = {
         "naive_linear": naive.predict_batch,
@@ -202,7 +201,7 @@ def nonlinear_pipeline():
         name: integrated_plane_error(pred, truth, LF3, 1.3, resolution=64)
         for name, pred in predictors.items()
     }
-    profile = report_planes({**predictors, "ground_truth": truth}, [(LF3, 1.3)])[0][0]
+    profile = report_planes({**predictors, "ground_truth": truth}, EvalSettings((LF3,)), SweepConfig.speed)[0][0]
     elapsed = time.perf_counter() - start
     return {
         "errors": errors,
@@ -256,7 +255,8 @@ def test_criterion_7_single_vehicle_column_width():
     radii = {}
     altitudes = (0.3, 0.8, 1.3)
     additive = {"additive": make_oracle("additive", P)}
-    planes = report_planes(additive, [(K1, altitude) for altitude in altitudes], contour_resolution=128)
+    ev = EvalSettings((K1,), altitudes=altitudes, contour_resolution=128)
+    planes = report_planes(additive, ev, SweepConfig.speed)
     for altitude, (_, _, grids) in zip(altitudes, planes):
         values = grids["additive"]
         cell_area = (2.0 / 128) ** 2

@@ -12,6 +12,7 @@ with the ``<module>.<name>`` references that follow it; and dotted
 """
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -116,3 +117,13 @@ def test_calls_benchmarks_make_keep_their_shapes(tmp_path):
     errors = integrated_plane_error(models["deepset"].predict_batch, truth, lf3, 1.3, resolution=8)
     assert errors.shape == (6,)
     assert count_peaks(np.array([0.0, 1.0, 0.0])) == 1
+
+
+def test_integrated_plane_error_keeps_its_signature():
+    """``blas_threads.py`` passes ``resolution=32`` and relies on the other
+    defaults, so the parameters and their default values stay as they are."""
+    params = inspect.signature(integrated_plane_error).parameters
+    assert list(params) == ["predictor", "truth", "formation", "altitude", "extent", "resolution", "speed"]
+    defaults = {name: p.default for name, p in params.items() if p.default is not inspect.Parameter.empty}
+    assert defaults == {"extent": 2.0, "resolution": 64, "speed": 0.5}
+    assert [type(value) for value in defaults.values()] == [float, int, float]

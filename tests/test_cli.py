@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -205,7 +206,8 @@ def test_eval_and_report_match_a_per_plane_computation(tmp_path, monkeypatch):
     rows = []
     for formation in ev.formations:
         for altitude in ev.altitudes:
-            plane = benchmark(models, [formation], truth, [altitude], ev.extent, ev.resolution, speed)
+            one = dataclasses.replace(ev, formations=(formation,), altitudes=(altitude,))
+            plane = benchmark(models, truth, one, speed)
             rows += plane.rows
             tag = f"{formation.label()}_{altitude_tag(altitude)}"
             positions = np.linspace(-ev.extent / 2.0, ev.extent / 2.0, ev.slice_resolution)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 
@@ -8,6 +9,7 @@ from scipy import signal
 
 from downwash.evaluate import (
     EvalReport,
+    EvalSettings,
     SliceProfile,
     benchmark,
     contour_to_csv,
@@ -29,6 +31,12 @@ K1 = Formation(FormationKind.SIDE_BY_SIDE, 1, 0.5)
 
 ADD = make_oracle("additive", P)
 MER = make_oracle("merging", P, M)
+SPEED = SweepConfig.speed
+
+
+def ev(formation, altitude, **settings):
+    """The evaluation settings of one plane."""
+    return EvalSettings((formation,), altitudes=(altitude,), **settings)
 
 
 def zero_predictor(feats):
@@ -57,7 +65,7 @@ def test_resolution_below_eight_rejected():
     with pytest.raises(ValueError, match="resolution"):
         integrated_plane_error(ADD, ADD, LF3, 0.8, resolution=4)
     with pytest.raises(ValueError, match="resolution"):
-        benchmark({"a": ADD}, [LF3], ADD, altitudes=[0.8], resolution=4)
+        ev(LF3, 0.8, resolution=4)
 
 
 def test_naive_degrades_from_additive_to_merging_truth():
@@ -77,7 +85,7 @@ def test_metric_stable_under_resolution_refinement():
 
 
 def test_slice_profile_three_additive_peaks_half_metre_apart():
-    prof = report_planes({"ground_truth": ADD}, [(LF3, 0.3)], slice_resolution=401)[0][0]
+    prof = report_planes({"ground_truth": ADD}, ev(LF3, 0.3, slice_resolution=401), SPEED)[0][0]
     truth = prof.columns["ground_truth"]
     assert count_peaks(truth) == 3
     peaks, _ = signal.find_peaks(truth, prominence=0.2 * (truth.max() - truth.min()))
@@ -86,19 +94,19 @@ def test_slice_profile_three_additive_peaks_half_metre_apart():
 
 
 def test_slice_profile_single_vehicle_peak_centres_on_neighbour():
-    prof = report_planes({"ground_truth": ADD}, [(K1, 0.8)], slice_resolution=401)[0][0]
+    prof = report_planes({"ground_truth": ADD}, ev(K1, 0.8, slice_resolution=401), SPEED)[0][0]
     truth = prof.columns["ground_truth"]
     assert count_peaks(truth) == 1
     assert abs(prof.positions[int(np.argmax(truth))]) < 0.01
 
 
 def test_slice_profile_merging_merges_peaks_at_altitude():
-    prof = report_planes({"ground_truth": MER}, [(LF3, 1.3)], slice_resolution=401)[0][0]
+    prof = report_planes({"ground_truth": MER}, ev(LF3, 1.3, slice_resolution=401), SPEED)[0][0]
     assert count_peaks(prof.columns["ground_truth"]) < 3
 
 
 def test_slice_profile_includes_model_columns(tmp_path):
-    prof = report_planes({"zero": zero_predictor, "ground_truth": ADD}, [(K1, 0.8)], slice_resolution=21)[0][0]
+    prof = report_planes({"zero": zero_predictor, "ground_truth": ADD}, ev(K1, 0.8, slice_resolution=21), SPEED)[0][0]
     assert list(prof.columns) == ["zero", "ground_truth"]
     assert np.all(prof.columns["zero"] == 0.0)
     out = tmp_path / "slice.csv"
@@ -108,17 +116,17 @@ def test_slice_profile_includes_model_columns(tmp_path):
 
 
 def test_contour_symmetric_formation_reflects_in_n():
-    _, _, grids = report_planes({"add": ADD}, [(SBS2, 0.8)], contour_resolution=32)[0]
+    _, _, grids = report_planes({"add": ADD}, ev(SBS2, 0.8, contour_resolution=32), SPEED)[0]
     np.testing.assert_allclose(grids["add"], grids["add"][::-1, :], atol=1e-9)
 
 
 def test_contour_additive_support_exceeds_merging():
-    _, _, grids = report_planes({"add": ADD, "mer": MER}, [(LF3, 1.3)], contour_resolution=48)[0]
+    _, _, grids = report_planes({"add": ADD, "mer": MER}, ev(LF3, 1.3, contour_resolution=48), SPEED)[0]
     assert support_count(grids["add"]) > support_count(grids["mer"])
 
 
 def test_contour_zero_predictor_all_zero(tmp_path):
-    _, axis, grids = report_planes({"zero": zero_predictor}, [(LF3, 1.3)], contour_resolution=16)[0]
+    _, axis, grids = report_planes({"zero": zero_predictor}, ev(LF3, 1.3, contour_resolution=16), SPEED)[0]
     assert np.all(grids["zero"] == 0.0)
     contour_to_csv(axis, grids, {"zero": tmp_path / "c.csv"})
     assert (tmp_path / "c.csv").read_text().splitlines()[0] == "n,e,f_d"
@@ -132,7 +140,7 @@ def test_contour_grid_passes_one_batch_to_each_callable_once():
         return MER(feats)
 
     callables = {"a": recording, "b": recording, "zero": zero_predictor}
-    profile, axis, grids = report_planes(callables, [(LF3, 1.3)], contour_resolution=12)[0]
+    profile, axis, grids = report_planes(callables, ev(LF3, 1.3, contour_resolution=12), SPEED)[0]
     # one batch: the plane's 201 slice rows, then its 12 x 12 contour rows
     assert len(batches) == 2 and batches[0] is batches[1] and batches[0].shape == (201 + 144, 3, 6)
     assert list(grids) == ["a", "b", "zero"] and list(profile.columns) == ["a", "b", "zero"]
@@ -140,7 +148,7 @@ def test_contour_grid_passes_one_batch_to_each_callable_once():
     np.testing.assert_array_equal(profile.columns["a"], forces[:201])
     np.testing.assert_array_equal(grids["a"], forces[201:].reshape(12, 12))
     np.testing.assert_array_equal(grids["b"], grids["a"])
-    _, _, alone = report_planes({"mer": MER}, [(LF3, 1.3)], contour_resolution=12)[0]
+    _, _, alone = report_planes({"mer": MER}, ev(LF3, 1.3, contour_resolution=12), SPEED)[0]
     np.testing.assert_array_equal(alone["mer"], grids["a"])
     np.testing.assert_array_equal(axis, (np.arange(12) + 0.5) * (2.0 / 12) - 1.0)
 
@@ -160,7 +168,7 @@ def test_predict_batches_calls_each_callable_once_per_k():
     lf4 = Formation(FormationKind.LEADER_FOLLOWER, 4, 0.5)
     rng = np.random.default_rng(0)
     batches = [
-        centroid_features(formation, rng.uniform(-1.0, 1.0, (m, 2)), altitude)
+        centroid_features(formation, rng.uniform(-1.0, 1.0, (m, 2)), altitude, SPEED)
         for formation, m, altitude in ((SBS2, 17, 0.8), (LF3, 64, 1.3), (stack2, 33, 1.3), (lf4, 5, 0.3))
     ]
     calls = []
@@ -185,7 +193,7 @@ def test_predict_batches_calls_each_callable_once_per_k():
 
 
 def test_benchmark_same_model_twice_gives_identical_columns():
-    report = benchmark({"a": ADD, "b": ADD}, [LF3], MER, altitudes=[1.3], resolution=16)
+    report = benchmark({"a": ADD, "b": ADD}, MER, ev(LF3, 1.3, resolution=16), SPEED)
     rows = {row["model"]: row for row in report.rows}
     assert rows["a"]["formation"] == LF3.label() and rows["a"]["altitude"] == 1.3
     err_a, err_b = np.array(rows["a"]["errors"]), np.array(rows["b"]["errors"])
@@ -199,7 +207,7 @@ def test_benchmark_same_model_twice_gives_identical_columns():
 def test_benchmark_marks_lower_error_as_winner():
     # two planes that share a label: each gets its own winners
     wide = Formation(FormationKind.LEADER_FOLLOWER, 3, 1.0)
-    report = benchmark({"truth": MER, "zero": zero_predictor}, [LF3, wide], MER, altitudes=[1.3], resolution=16)
+    report = benchmark({"truth": MER, "zero": zero_predictor}, MER, EvalSettings((LF3, wide), resolution=16), SPEED)
     assert [row["formation"] for row in report.rows] == [LF3.label()] * 4
     for truth_row, zero_row in (report.rows[:2], report.rows[2:]):
         assert truth_row["wins"][2] is True
@@ -211,7 +219,7 @@ def test_benchmark_marks_lower_error_as_winner():
 def test_report_files_are_deterministic(tmp_path):
     paths = []
     for tag in ("x", "y"):
-        report = benchmark({"zero": zero_predictor}, [LF3], ADD, altitudes=[0.8], resolution=16)
+        report = benchmark({"zero": zero_predictor}, ADD, ev(LF3, 0.8, resolution=16), SPEED)
         report.config["seed"] = 1
         csv_path = tmp_path / f"{tag}.csv"
         json_path = tmp_path / f"{tag}.json"
@@ -301,7 +309,7 @@ def test_n_slice_meets_both_side_by_side_columns():
     """The n slice crosses the pair, one peak under each vehicle 0.25 m either
     side of the centroid; the e slice runs between them and sees one."""
     profiles = {
-        axis: report_planes({"ground_truth": ADD}, [(SBS2, 0.3)], axis, slice_resolution=401)[0][0]
+        axis: report_planes({"ground_truth": ADD}, ev(SBS2, 0.3, slice_axis=axis, slice_resolution=401), SPEED)[0][0]
         for axis in ("n", "e")
     }
     across = profiles["n"].columns["ground_truth"]
@@ -310,4 +318,39 @@ def test_n_slice_meets_both_side_by_side_columns():
     np.testing.assert_allclose(profiles["n"].positions[peaks], [-0.25, 0.25], atol=0.02)
     assert count_peaks(profiles["e"].columns["ground_truth"]) == 1
     with pytest.raises(ValueError, match="'x'"):
-        report_planes({"ground_truth": ADD}, [(SBS2, 0.3)], "x")
+        ev(SBS2, 0.3, slice_axis="x")
+
+
+def _entry_bytes(entry):
+    """A :func:`report_planes` entry as bytes, for bitwise comparison."""
+    profile, axis, grids = entry
+    columns = [(name, values.tobytes()) for name, values in profile.columns.items()]
+    return [profile.axis, profile.positions.tobytes(), axis.tobytes(), columns] + [
+        (name, values.tobytes()) for name, values in grids.items()
+    ]
+
+
+def test_planes_set_the_order_of_the_table_and_the_report():
+    """Two formations of different K at two altitudes: ``predict_batches``
+    groups the planes by K, and both stages still follow ``planes()``, each
+    plane bitwise as it comes out alone."""
+    settings = EvalSettings(
+        (LF3, SBS2), altitudes=(0.8, 1.3), resolution=16, slice_resolution=21, contour_resolution=12
+    )
+    planes = settings.planes()
+    assert planes == [(LF3, 0.8), (LF3, 1.3), (SBS2, 0.8), (SBS2, 1.3)]
+    models = {"add": ADD, "zero": zero_predictor}
+    report = benchmark(models, MER, settings, SPEED)
+    expected = [(formation.label(), altitude, name) for formation, altitude in planes for name in models]
+    assert [(row["formation"], row["altitude"], row["model"]) for row in report.rows] == expected
+    rows = iter(report.rows)
+    for formation, altitude in planes:
+        for fn in models.values():
+            alone = integrated_plane_error(fn, MER, formation, altitude, resolution=16)
+            assert np.array(next(rows)["errors"]).tobytes() == alone.tobytes()
+    callables = {**models, "ground_truth": MER}
+    entries = report_planes(callables, settings, SPEED)
+    assert len(entries) == len(planes)
+    for (formation, altitude), entry in zip(planes, entries):
+        one = dataclasses.replace(settings, formations=(formation,), altitudes=(altitude,))
+        assert _entry_bytes(entry) == _entry_bytes(report_planes(callables, one, SPEED)[0])

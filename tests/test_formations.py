@@ -117,7 +117,7 @@ def grid_slice(formation, altitude, extent, resolution, oracle_kind, params):
     axis = np.linspace(-extent / 2.0, extent / 2.0, resolution)
     n, e = np.meshgrid(axis, axis, indexing="ij")
     centroids = np.stack([n.ravel(), e.ravel()], axis=-1)
-    feats = centroid_features(formation, centroids, altitude)
+    feats = centroid_features(formation, centroids, altitude, SweepConfig.speed)
     return centroids, feats, make_oracle(oracle_kind, params)(feats)
 
 

@@ -57,7 +57,7 @@ def _merging_k3(samples=60):
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
-    data = _merging_k3(samples=10)
+    data = [_merging_k3(samples=10)]
     model = LinearAggModel.initialised(stream(4))
     before = model.flat.copy()
     train(model, data, TrainConfig(epochs=3, learning_rate=0.0, seed=1))
@@ -65,7 +65,7 @@ def test_zero_learning_rate_leaves_parameters_unchanged():
 
 
 def test_training_is_bitwise_deterministic():
-    data = _merging_k3(samples=15)
+    data = [_merging_k3(samples=15)]
     cfg = TrainConfig(epochs=5, seed=77, batch_size=64)
     params = []
     for _ in range(2):
@@ -82,10 +82,10 @@ def test_set_summation_gradients_match_finite_differences(kind, rng):
         model = LinearAggModel.initialised(stream(11), hidden=(8,))
     else:
         model = DeepSetModel.initialised(stream(12), embed_dim=6, phi_hidden=(8,), decoder_hidden=(8,))
-    data = _merging_k3(samples=2)
+    data = [_merging_k3(samples=2)]
     rows, counts, targets = dataset_arrays(data)
     rows, counts, targets = rows[: counts[:6].sum()], counts[:6], targets[:6]
-    weights = loss_weights_for(targets)
+    weights = loss_weights_for(targets, TrainConfig.sigma_floor)
     _, analytic = batch_loss_and_gradients(model, rows, counts, targets, weights)
 
     def loss():
@@ -122,7 +122,7 @@ def _k0(n=20, seed=8):
 @pytest.mark.parametrize("model_cls", [LinearAggModel, DeepSetModel])
 def test_k0_dataset_trains(model_cls):
     model = model_cls.initialised(stream(40))
-    history = train(model, _k0(), TrainConfig(epochs=3, seed=4, batch_size=8))
+    history = train(model, [_k0()], TrainConfig(epochs=3, seed=4, batch_size=8))
     assert len(history) == 3 and np.isfinite(history).all()
     assert np.isfinite(model.flat).all()
 
@@ -138,7 +138,7 @@ def test_k0_and_k3_mix_trains():
 
 
 def test_divergence_detection_reports_epoch():
-    data = _merging_k3(samples=5)
+    data = [_merging_k3(samples=5)]
     model = LinearAggModel.initialised(stream(30))
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergence) as err:
@@ -153,7 +153,7 @@ def test_divergence_detection_reports_epoch():
 
 
 def test_noiseless_k1_reaches_regression_baseline():
-    data = _k1_noiseless()
+    data = [_k1_noiseless()]
     model = LinearAggModel.initialised(stream(123))
     train(model, data, TrainConfig(epochs=200, seed=55))
     rows, counts, targets = dataset_arrays(data)
@@ -164,7 +164,7 @@ def test_noiseless_k1_reaches_regression_baseline():
 
 
 def test_deepset_beats_linear_on_merging_formation():
-    data = _merging_k3(samples=60)
+    data = [_merging_k3(samples=60)]
     cfg = TrainConfig(epochs=100, seed=99)
     linear = LinearAggModel.initialised(stream(1))
     linear_history = train(linear, data, cfg)
@@ -213,7 +213,7 @@ def test_predictions_survive_a_later_training_step(rng):
     feats = rng.uniform(-1, 1, (8, 3, 6))
     pred = model.predict_batch(feats)
     kept = pred.copy()
-    train(model, _merging_k3(samples=5), TrainConfig(epochs=1, seed=3, batch_size=16))
+    train(model, [_merging_k3(samples=5)], TrainConfig(epochs=1, seed=3, batch_size=16))
     assert not np.array_equal(model.predict_batch(feats), kept)  # the step did move the model
     assert pred.tobytes() == kept.tobytes()
 
@@ -256,7 +256,7 @@ def test_training_keeps_float64_master_weights(monkeypatch, tmp_path):
     made = []
     monkeypatch.setattr(training, "Adam", lambda *args, **kwargs: made.append(Adam(*args, **kwargs)) or made[-1])
     model = _deepset()
-    train(model, _merging_k3(samples=5), TrainConfig(epochs=2, seed=3, batch_size=16))
+    train(model, [_merging_k3(samples=5)], TrainConfig(epochs=2, seed=3, batch_size=16))
     (optimiser,) = made
     assert optimiser.t > 0 and optimiser.m.any()
     assert model.flat.dtype == optimiser.m.dtype == optimiser.v.dtype == np.float64
@@ -293,7 +293,7 @@ def test_float32_gradient_matches_float64_on_the_criterion_2_batch():
     counts = np.full(4, 3)
     for model in (LinearAggModel.initialised(stream(11)), DeepSetModel.initialised(stream(12))):
         targets = rng.uniform(-2, 2, (4, 6))
-        weights = loss_weights_for(targets)
+        weights = loss_weights_for(targets, TrainConfig.sigma_floor)
         _, exact = batch_loss_and_gradients(model, feats, counts, targets, weights)
         f32, t32, w32 = (a.astype(np.float32) for a in (feats, targets, weights))
         _, low = batch_loss_and_gradients(model.astype(np.float32), f32, counts, t32, w32)
