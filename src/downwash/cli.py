@@ -35,9 +35,11 @@ MODEL_NAMES = ("naive_linear", "learnt_linear", "learnt_nonlinear")
 
 
 def cmd_gen(cfg: RunConfig) -> list:
-    """Generate every configured dataset; returns the CSV paths."""
+    """Generate every configured dataset; returns the CSV paths.  A dataset
+    that ``train`` would refuse (a non-finite value, a neighbour on the
+    sufferer) is a ConfigError naming its entry and row, and is not written."""
     paths = []
-    for spec in cfg.datasets:
+    for i, spec in enumerate(cfg.datasets):
         noise = dataclasses.replace(cfg.noise, seed=substream_seed(cfg.seed, f"dataset:{spec.name}"))
         data = generate_sweep(
             spec.formation,
@@ -49,7 +51,10 @@ def cmd_gen(cfg: RunConfig) -> list:
         )
         data.metadata["name"] = spec.name
         path = cfg.output_dir / "datasets" / f"{spec.name}.csv"
-        save_dataset(data, path)
+        try:
+            save_dataset(data, path)
+        except ValueError as exc:  # values that load_dataset would refuse; nothing was written
+            raise ConfigError(f"datasets[{i}] ({spec.name}): {exc}") from None
         print(f"gen: {spec.name}: {len(data)} records -> {path}")
         paths.append(path)
     return paths
@@ -93,9 +98,7 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
         ("learnt_linear", LinearAggModel, cfg.linear),
         ("learnt_nonlinear", DeepSetModel, cfg.deepset),
     ):
-        # the settings fields other than train_on are the initialised() keywords
-        architecture = {key: value for key, value in vars(settings).items() if key != "train_on"}
-        model = cls.initialised(stream(substream_seed(cfg.seed, f"init:{name}")), **architecture)
+        model = cls.initialised(stream(substream_seed(cfg.seed, f"init:{name}")), settings)
         data = [_load(ds) for ds in settings.train_on]
         tcfg = dataclasses.replace(cfg.training, seed=substream_seed(cfg.seed, f"train:{name}"))
         history = train(model, data, tcfg)

@@ -1,17 +1,17 @@
 """Run configuration: one YAML file, strictly validated, plus dotted overrides.
 
 The schema is the dataclass fields.  Each YAML section is built by
-:func:`build` from the fields and annotations of one dataclass
-(``DownwashParams``, ``MergeParams``, ``NoiseParams``, ``SweepConfig``,
-``TrainConfig``, ``Formation``, the model settings classes below, and
-``EvalSettings``, which lives in :mod:`downwash.evaluate` beside the functions
-that read it): keys are the field names, defaults are the field defaults, and
-range checks live in each class's ``__post_init__``.  Unknown keys are
-rejected with the offending path in the message so typos cannot silently
-change an experiment.  Report files are named from ``Formation.label()`` and
-:func:`altitude_tag`, so no two ``eval.formations`` may share a label and no
-two ``eval.altitudes`` a tag.  All randomness derives from the one global
-seed through named substreams (dataset:<name>, init:<model>, train:<model>).
+:func:`build` from the fields and annotations of one dataclass, defined
+beside the code it sizes (the model settings in :mod:`downwash.models`,
+``EvalSettings`` in :mod:`downwash.evaluate`); only ``DatasetSpec`` and
+``RunConfig`` are defined here.  Keys are the field names, defaults are the
+field defaults, and range checks live in each class's ``__post_init__``.
+Unknown keys are rejected with the offending path in the message so typos
+cannot silently change an experiment.  Report files are named from
+``Formation.label()`` and :func:`altitude_tag`, so no two ``eval.formations``
+may share a label and no two ``eval.altitudes`` a tag.  All randomness
+derives from the one global seed through named substreams (dataset:<name>,
+init:<model>, train:<model>).
 
 YAML text, from the file or an override value, may nest at most
 :data:`MAX_DEPTH` collections (the shipped configs nest 4).  libyaml builds
@@ -37,6 +37,7 @@ import yaml
 from .evaluate import EvalSettings
 from .field import DownwashParams, MergeParams, NoiseParams, Oracle
 from .formations import Formation, SweepConfig
+from .models import DeepSetSettings, LinearSettings, NaiveSettings
 from .training import TrainConfig
 
 
@@ -114,8 +115,26 @@ def _value(tp, value, path: str, base: dict | None = None):
     if tp is Path and isinstance(value, str):
         return Path(value)
     if type(value) is not tp:
-        raise ConfigError(f"{path}: expected {tp.__name__}, got {_brief.repr(value)}")
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {_brief.repr(value)}{_float_hint(tp, value)}")
     return value
+
+
+def _float_hint(tp, value) -> str:
+    """For a float field given text that ``float()`` reads as a finite number,
+    the spelling YAML 1.1 reads as that float: a point in the mantissa and a
+    signed exponent (PyYAML reads ``1e-3`` as text, ``1.0e-3`` as a float)."""
+    if tp is not float or not isinstance(value, str):
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    mantissa, e, exponent = value.strip().lower().partition("e")
+    spelt = (mantissa if "." in mantissa else mantissa + ".0") + e
+    spelt += exponent if not e or exponent[:1] in ("+", "-") else "+" + exponent
+    if abs(number) <= sys.float_info.max and yaml.load(spelt, Loader=_LOADER) == number:
+        return f" (YAML 1.1 reads it as text; write {spelt})"
+    return ""
 
 
 @functools.cache
@@ -159,45 +178,6 @@ class DatasetSpec:
     formation: Formation
     sweep: SweepConfig
     oracle: Oracle = "merging"
-
-
-def _require_sizes(settings, *names: str) -> None:
-    """A ValueError at the first field of ``names`` (sizes or tuples of sizes) holding one below 1."""
-    for name in names:
-        sizes = getattr(settings, name)
-        if min(sizes if isinstance(sizes, tuple) else (sizes,)) < 1:
-            raise ValueError(f"{name}: every size must be >= 1, got {sizes!r}")
-
-
-@dataclass(frozen=True)
-class NaiveSettings:
-    fit_on: str = "single_k1"
-    resolution: tuple[int, ...] = (36, 50)   # lateral (n, e) cells
-
-    def __post_init__(self):
-        if len(self.resolution) != 2:
-            raise ValueError("resolution: expected [n_cells, e_cells]")
-        _require_sizes(self, "resolution")
-
-
-@dataclass(frozen=True)
-class LinearSettings:
-    train_on: tuple[str, ...] = ("single_k1",)
-    hidden: tuple[int, ...] = (64, 64)       # encoder hidden sizes
-
-    def __post_init__(self):
-        _require_sizes(self, "hidden")
-
-
-@dataclass(frozen=True)
-class DeepSetSettings:
-    train_on: tuple[str, ...] = ("leader_follower_k3",)
-    embed_dim: int = 64
-    phi_hidden: tuple[int, ...] = (64, 64)
-    decoder_hidden: tuple[int, ...] = (64,)
-
-    def __post_init__(self):
-        _require_sizes(self, "embed_dim", "phi_hidden", "decoder_hidden")
 
 
 def altitude_tag(altitude: float) -> str:

@@ -133,9 +133,22 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def _check_rows(table: np.ndarray, states: np.ndarray) -> None:
+    """A ValueError naming the first data row (from 1) of ``table`` that holds
+    a non-finite value, else the first whose ``states`` put a neighbour
+    within ``MIN_SEPARATION`` of the sufferer."""
+    for bad, fault in (
+        (~np.isfinite(table).all(axis=1), "non-finite value"),
+        ((separations(states) <= MIN_SEPARATION).any(axis=1), "a neighbour coincides with the sufferer"),
+    ):
+        if bad.any():
+            raise ValueError(f"data row {int(np.argmax(bad)) + 1}: {fault}")
+
+
 def save_dataset(data: Dataset, csv_path) -> None:
     """Write the CSV file through :func:`write_atomic`, then its JSON sidecar
-    through :func:`write_json`.
+    through :func:`write_json`.  A dataset that :func:`load_dataset` would
+    refuse for its values raises ValueError before anything is written.
 
     The header records and the column row go through ``csv.writer``.  Each
     data row is ``time``, the flattened ``states``, ``truth`` and
@@ -144,14 +157,15 @@ def save_dataset(data: Dataset, csv_path) -> None:
     never holds a comma, quote or newline, so this is the same bytes as
     ``csv.writer`` would write for the row.
     """
+    n = len(data)
+    table = np.concatenate([data.time[:, None], data.states.reshape(n, -1), data.truth, data.measured], axis=1)
+    _check_rows(table, data.states)
     fh = io.StringIO(newline="")
     fh.write(f"# downwash-dataset version={FORMAT_VERSION}\n")
     for key in sorted(data.metadata):
         fh.write(f"# {key}={json.dumps(data.metadata[key], sort_keys=True)}\n")
     csv.writer(fh).writerow(_columns(data.k))
     k = str(data.k)
-    n = len(data)
-    table = np.concatenate([data.time[:, None], data.states.reshape(n, -1), data.truth, data.measured], axis=1)
     for row in table.tolist():
         cells = list(map(repr, row))
         cells.insert(8, k)
@@ -173,8 +187,9 @@ def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     Raises :class:`FormatError` naming the file (and the data row, where
-    there is one) for a missing or broken sidecar (JSON nested too deep to
-    parse included), a row that does not parse, a non-finite cell, a
+    there is one) for a missing or broken sidecar (a missing key, ``rows``
+    not a plain int, or JSON nested too deep to parse included), a row that
+    does not parse, a non-finite cell, a
     neighbour coinciding with the sufferer, no data rows, or a row count or
     digest that disagrees with the sidecar.
     """
@@ -186,7 +201,11 @@ def load_dataset(csv_path) -> Dataset:
         try:
             doc = json.load(fh)
             metadata, rows, digest = doc["metadata"], doc["rows"], doc["sha256"]
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:
+            if type(rows) is not int:
+                raise ValueError(f"rows {rows!r} is not a plain integer")
+        except KeyError as exc:
+            raise FormatError(f"{side}: missing key {exc}") from None
+        except (RecursionError, TypeError, ValueError) as exc:
             raise FormatError(f"{side}: {exc}") from None
     blob = csv_path.read_bytes()
     # A bad byte decodes to U+FFFD, which no numeric cell parses, so it is
@@ -209,12 +228,10 @@ def load_dataset(csv_path) -> Dataset:
             raise FormatError(f"{csv_path}: data row {row}: {exc}") from None
     values = np.array(values).reshape(-1, len(header))
     states = np.concatenate([values[:, 1:8], values[:, 9 : 9 + 7 * k]], axis=1).reshape(-1, k + 1, 7)
-    for bad, fault in (
-        (~np.isfinite(values).all(axis=1), "non-finite value"),
-        ((separations(states) <= MIN_SEPARATION).any(axis=1), "a neighbour coincides with the sufferer"),
-    ):
-        if bad.any():
-            raise FormatError(f"{csv_path}: data row {int(np.argmax(bad)) + 1}: {fault}")
+    try:
+        _check_rows(values, states)
+    except ValueError as exc:
+        raise FormatError(f"{csv_path}: {exc}") from None
     if not values.size:
         raise FormatError(f"{csv_path}: no data rows")
     if len(values) != rows:

@@ -211,7 +211,8 @@ def add_noise(truth: np.ndarray, n: NoiseParams) -> np.ndarray:
     :func:`~downwash.rng.normal_rows`, so each row's noise depends only on
     the seed and its index."""
     scale = np.array([n.sigma_force] * 3 + [n.sigma_torque] * 3)
-    return truth + scale * normal_rows(n.seed, len(truth), 6)
+    with np.errstate(over="ignore"):  # a sigma near the float limit gives inf, which save_dataset refuses
+        return truth + scale * normal_rows(n.seed, len(truth), 6)
 
 
 # The oracle kinds a dataset entry or the eval section may name.

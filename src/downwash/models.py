@@ -16,10 +16,11 @@ order (see :mod:`downwash.core`), which makes permutation invariance bitwise
 rather than merely approximate.
 
 The two learnt models are one set network, ``forward(rows, counts)`` and
-``backward``, which training and ``predict_batch`` share.  A batch is
-ragged: the neighbour feature rows of all samples stacked sample by sample
-(R, 6), plus each sample's row count (n,), so samples of different K (K=0
-included) mix in one batch with no padding.
+``backward``, which training and ``predict_batch`` share; ``initialised(rng,
+settings)`` sizes one from its ``LinearSettings`` or ``DeepSetSettings``.  A
+batch is ragged: the neighbour feature rows of all samples stacked sample by
+sample (R, 6), plus each sample's row count (n,), so samples of different K
+(K=0 included) mix in one batch with no padding.
 
 A set network is one vector ``flat``: the per-neighbour ``encoder``, then
 the deep set's ``decoder``.  Both networks are built on slices of it, and
@@ -34,11 +35,11 @@ returns never share memory with a later call.
 
 Model files (:func:`save_model`, format version 2) are sorted-key JSON
 documents whose parameter arrays are the arrays' exact bytes: base64 text of
-little-endian float64 (``"<f8"``).  A network is ``{"dims", "flat"}``, the
-payload in :attr:`Mlp.flat` order (W0, b0, W1, b1, ...), under the keys
-``psi`` (a linear model's encoder) or ``phi`` and ``big_phi`` (a deep set's
-encoder and decoder); a grid keeps ``bounds`` and ``shape`` as JSON and its
-``values`` as a payload in C order.
+little-endian float64 (``"<f8"``).  Each class's ``KIND`` is its file's
+``kind``.  A network is ``{"dims", "flat"}``, the payload in
+:attr:`Mlp.flat` order (W0, b0, W1, b1, ...), under the class's ``NETS``
+keys, encoder first (``psi``, or ``phi`` and ``big_phi``); a grid keeps
+``bounds`` and ``shape`` as JSON and its ``values`` as a payload in C order.
 :func:`load_model` requires ``dims`` and ``shape`` to be lists of plain
 positive integers, a grid's ``bounds`` 3 pairs of plain finite numbers, and
 each payload to hold exactly the values they call for, all finite, before it
@@ -51,6 +52,7 @@ import base64
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,45 @@ from .mlp import Mlp, Workspace, parameter_count
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
 MODEL_FORMAT_VERSION = 2
+
+
+def _require_sizes(settings, *names: str) -> None:
+    """A ValueError at the first field of ``names`` (sizes or tuples of sizes) holding one below 1."""
+    for name in names:
+        sizes = getattr(settings, name)
+        if min(sizes if isinstance(sizes, tuple) else (sizes,)) < 1:
+            raise ValueError(f"{name}: every size must be >= 1, got {sizes!r}")
+
+
+@dataclass(frozen=True)
+class NaiveSettings:
+    fit_on: str = "single_k1"
+    resolution: tuple[int, ...] = (36, 50)   # lateral (n, e) cells
+
+    def __post_init__(self):
+        if len(self.resolution) != 2:
+            raise ValueError("resolution: expected [n_cells, e_cells]")
+        _require_sizes(self, "resolution")
+
+
+@dataclass(frozen=True)
+class LinearSettings:
+    train_on: tuple[str, ...] = ("single_k1",)
+    hidden: tuple[int, ...] = (64, 64)       # encoder hidden sizes
+
+    def __post_init__(self):
+        _require_sizes(self, "hidden")
+
+
+@dataclass(frozen=True)
+class DeepSetSettings:
+    train_on: tuple[str, ...] = ("leader_follower_k3",)
+    embed_dim: int = 64
+    phi_hidden: tuple[int, ...] = (64, 64)
+    decoder_hidden: tuple[int, ...] = (64,)
+
+    def __post_init__(self):
+        _require_sizes(self, "embed_dim", "phi_hidden", "decoder_hidden")
 
 
 def segment_sum(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -176,25 +217,25 @@ class _SetNet(_Model):
 class LinearAggModel(_SetNet):
     """Learnt linear aggregation: summed per-neighbour wrench predictions,
     i.e. the set network without a decoder."""
-
+    KIND, NETS = "linear", ("psi",)
     def __init__(self, encoder: Mlp, metadata: dict | None = None):
         super().__init__(encoder, None, metadata)
 
     @classmethod
-    def initialised(cls, rng, hidden=(64, 64)) -> "LinearAggModel":
-        return cls(Mlp.initialised([FEATURE_DIM, *hidden, 6], rng))
+    def initialised(cls, rng, settings: LinearSettings = LinearSettings()) -> "LinearAggModel":
+        return cls(Mlp.initialised([FEATURE_DIM, *settings.hidden, 6], rng))
 
 
 class DeepSetModel(_SetNet):
     """Sum-pooled set network: decode(sum(embed(neighbour)))."""
-
+    KIND, NETS = "deepset", ("phi", "big_phi")
     def __init__(self, encoder: Mlp, decoder: Mlp, metadata: dict | None = None):
         super().__init__(encoder, decoder, metadata)
 
     @classmethod
-    def initialised(cls, rng, embed_dim=64, phi_hidden=(64, 64), decoder_hidden=(64,)) -> "DeepSetModel":
-        encoder = Mlp.initialised([FEATURE_DIM, *phi_hidden, embed_dim], rng)
-        decoder = Mlp.initialised([embed_dim, *decoder_hidden, 6], rng)
+    def initialised(cls, rng, settings: DeepSetSettings = DeepSetSettings()) -> "DeepSetModel":
+        encoder = Mlp.initialised([FEATURE_DIM, *settings.phi_hidden, settings.embed_dim], rng)
+        decoder = Mlp.initialised([settings.embed_dim, *settings.decoder_hidden, 6], rng)
         return cls(encoder, decoder)
 
 
@@ -205,7 +246,7 @@ class GridLookupModel(_Model):
     grid; queries outside the bounds return the zero wrench, queries at cell
     centres return the stored cell value exactly.
     """
-
+    KIND = "grid"
     def __init__(self, bounds, values: np.ndarray, metadata: dict | None = None):
         self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
         self.values = np.asarray(values, dtype=float)
@@ -308,33 +349,22 @@ def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
     return GridLookupModel(bounds, values, metadata)
 
 
-def save_model(model, path) -> None:
-    """Serialize a model to a versioned JSON file (bit-exact round trip).
+_KINDS = (LinearAggModel, DeepSetModel, GridLookupModel)
 
-    Version 2 layout (see the module docstring): parameter arrays are base64
-    text of little-endian float64 (``"<f8"``), each network's :attr:`Mlp.flat`
-    (W0, b0, W1, b1, ...) under ``psi`` or ``phi``/``big_phi`` beside its
-    ``dims``, a grid's ``values`` in C order beside its JSON ``bounds`` and
-    ``shape``.  :func:`load_model` requires each payload to hold exactly the
-    values its dims or shape call for, all finite.
+
+def save_model(model, path) -> None:
+    """Serialize a model to a versioned JSON file (bit-exact round trip), in
+    the version 2 layout of the module docstring.
 
     The whole document is encoded first, so a value JSON cannot hold raises
     before the file is touched; the file is then replaced atomically."""
-    doc = {"format": "downwash-model", "version": MODEL_FORMAT_VERSION}
-    if isinstance(model, LinearAggModel):
-        doc["kind"] = "linear"
-        doc["psi"] = _mlp_doc(model.encoder)
-    elif isinstance(model, DeepSetModel):
-        doc["kind"] = "deepset"
-        doc["phi"] = _mlp_doc(model.encoder)
-        doc["big_phi"] = _mlp_doc(model.decoder)
-    elif isinstance(model, GridLookupModel):
-        doc["kind"] = "grid"
-        doc["bounds"] = [list(b) for b in model.bounds]
-        doc["shape"] = list(model.values.shape)
-        doc["values"] = _encode(model.values)
-    else:
+    if not isinstance(model, _KINDS):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    doc = {"format": "downwash-model", "version": MODEL_FORMAT_VERSION, "kind": model.KIND}
+    if isinstance(model, GridLookupModel):
+        doc.update(bounds=[list(b) for b in model.bounds], shape=list(model.values.shape), values=_encode(model.values))
+    else:
+        doc.update(zip(model.NETS, (_mlp_doc(net) for net in (model.encoder, model.decoder) if net)))
     doc["metadata"] = model.metadata
     write_json(path, doc)
 
@@ -347,7 +377,9 @@ def load_model(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return _model_from_doc(json.load(fh))
-        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"{path}: missing key {exc}") from None
+        except (AttributeError, RecursionError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from None
 
 
@@ -361,15 +393,14 @@ def _model_from_doc(doc: dict):
         )
     kind = doc.get("kind")
     metadata = doc.get("metadata", {})
-    if kind == "linear":
-        return LinearAggModel(_mlp_from_doc(doc["psi"]), metadata)
-    if kind == "deepset":
-        return DeepSetModel(_mlp_from_doc(doc["phi"]), _mlp_from_doc(doc["big_phi"]), metadata)
-    if kind == "grid":
+    cls = next((cls for cls in _KINDS if cls.KIND == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if cls is GridLookupModel:
         shape = _positive_ints(doc["shape"], "grid shape", 1)
         values = _decode(doc["values"], math.prod(shape)).reshape(shape)
         return GridLookupModel(_finite_bounds(doc["bounds"]), values, metadata)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return cls(*(_mlp_from_doc(doc[key]) for key in cls.NETS), metadata)
 
 
 def _encode(values: np.ndarray) -> str:

@@ -22,7 +22,15 @@ from downwash.core import FormationSnapshot, VehicleState
 from downwash.evaluate import count_peaks, integrated_plane_error
 from downwash.field import DownwashParams, MergeParams, NoiseParams, aggregate_merging, make_oracle, merging_batch
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
-from downwash.models import DeepSetModel, LinearAggModel, fit_grid, load_model, save_model
+from downwash.models import (
+    DeepSetModel,
+    DeepSetSettings,
+    LinearAggModel,
+    LinearSettings,
+    fit_grid,
+    load_model,
+    save_model,
+)
 from downwash.rng import stream
 from downwash.training import TrainConfig, train
 
@@ -117,6 +125,17 @@ def test_calls_benchmarks_make_keep_their_shapes(tmp_path):
     errors = integrated_plane_error(models["deepset"].predict_batch, truth, lf3, 1.3, resolution=8)
     assert errors.shape == (6,)
     assert count_peaks(np.array([0.0, 1.0, 0.0])) == 1
+
+
+def test_one_argument_initialised_builds_the_default_settings():
+    """``blas_threads.py`` builds its deep set with ``initialised(stream(2))``:
+    the sizes are those of ``LinearSettings()`` and ``DeepSetSettings()``."""
+    linear = LinearAggModel.initialised(stream(4))
+    deepset = DeepSetModel.initialised(stream(2))
+    assert linear.encoder.layer_dims == [6, 64, 64, 6]
+    assert (deepset.encoder.layer_dims, deepset.decoder.layer_dims) == ([6, 64, 64, 64], [64, 64, 6])
+    assert linear.flat.tobytes() == LinearAggModel.initialised(stream(4), LinearSettings()).flat.tobytes()
+    assert deepset.flat.tobytes() == DeepSetModel.initialised(stream(2), DeepSetSettings()).flat.tobytes()
 
 
 def test_integrated_plane_error_keeps_its_signature():

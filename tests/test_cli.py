@@ -17,7 +17,15 @@ from downwash.config import altitude_tag, load_config
 from downwash.evaluate import EvalReport, SliceProfile, benchmark, contour_to_csv
 from downwash.field import make_oracle
 from downwash.formations import centroid_features, midpoints
-from downwash.models import DeepSetModel, GridLookupModel, LinearAggModel, load_model, save_model
+from downwash.models import (
+    DeepSetModel,
+    DeepSetSettings,
+    GridLookupModel,
+    LinearAggModel,
+    LinearSettings,
+    load_model,
+    save_model,
+)
 from downwash.rng import stream
 
 MINI_CFG = """
@@ -357,8 +365,10 @@ def _save_models(models_dir) -> dict:
     """Small valid model files under every name ``eval`` reads; their paths by name."""
     models = {
         "naive_linear": GridLookupModel([(-1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)], np.ones((4, 4, 2, 6))),
-        "learnt_linear": LinearAggModel.initialised(stream(0), hidden=(8,)),
-        "learnt_nonlinear": DeepSetModel.initialised(stream(1), embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,)),
+        "learnt_linear": LinearAggModel.initialised(stream(0), LinearSettings(hidden=(8,))),
+        "learnt_nonlinear": DeepSetModel.initialised(
+            stream(1), DeepSetSettings(embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,))
+        ),
     }
     paths = {name: models_dir / f"{name}.json" for name in models}
     for name, model in models.items():
@@ -417,6 +427,37 @@ def _string_and_bool_bounds(doc, model):
     doc["bounds"][2] = ["-1.0", True]
 
 
+def _other_set_network(doc, model):
+    # a linear model's file relabelled as a deep set holds psi, not phi and big_phi
+    doc["kind"] = "deepset"
+
+
+def _drop(*keys):
+    """An edit that deletes the key at the path ``keys``."""
+
+    def edit(doc, model):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+
+    return edit
+
+
+# every key each kind's reader requires: (model name, key path)
+REQUIRED_KEYS = [
+    ("learnt_linear", ("psi",)),
+    ("learnt_linear", ("psi", "dims")),
+    ("learnt_linear", ("psi", "flat")),
+    ("learnt_nonlinear", ("phi",)),
+    ("learnt_nonlinear", ("big_phi",)),
+    ("learnt_nonlinear", ("phi", "dims")),
+    ("learnt_nonlinear", ("big_phi", "flat")),
+    ("naive_linear", ("bounds",)),
+    ("naive_linear", ("shape",)),
+    ("naive_linear", ("values",)),
+]
+
+
 @pytest.mark.parametrize(
     "name, edit, needle",
     [
@@ -426,6 +467,8 @@ def _string_and_bool_bounds(doc, model):
         ("learnt_linear", _fractional_dims, "dims"),
         ("naive_linear", _infinite_bounds, "bounds"),
         ("naive_linear", _string_and_bool_bounds, "bounds"),
+        ("learnt_linear", _other_set_network, "missing key 'phi'"),
+        *((name, _drop(*keys), f"missing key {keys[-1]!r}") for name, keys in REQUIRED_KEYS),
     ],
     ids=[
         "one_float_short",
@@ -434,6 +477,8 @@ def _string_and_bool_bounds(doc, model):
         "fractional_dims",
         "infinite_bounds",
         "string_and_bool_bounds",
+        "other_set_network",
+        *(f"{name}_without_{'.'.join(keys)}" for name, keys in REQUIRED_KEYS),
     ],
 )
 def test_malformed_model_payload_is_format_error(tmp_path, capsys, name, edit, needle):
@@ -527,6 +572,63 @@ def test_header_only_dataset_is_format_error(tmp_path, capsys):
 
 def test_dataset_without_sidecar_is_format_error(tmp_path, capsys):
     _train_fails_on_dataset(tmp_path, capsys, lambda path: path.with_suffix(".json").unlink(), "sidecar")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("metadata"), "missing key 'metadata'"),
+        (lambda doc: doc.pop("rows"), "missing key 'rows'"),
+        (lambda doc: doc.pop("sha256"), "missing key 'sha256'"),
+        (lambda doc: doc.update(rows=float(doc["rows"])), "rows 320.0 is not a plain integer"),
+        (lambda doc: doc.update(rows=True), "rows True is not a plain integer"),
+    ],
+    ids=["without_metadata", "without_rows", "without_sha256", "float_rows", "bool_rows"],
+)
+def test_malformed_dataset_sidecar_is_format_error(tmp_path, capsys, edit, message):
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg)]) == EXIT_OK
+    side = tmp_path / "run" / "datasets" / "single_k1.json"
+    doc = json.loads(side.read_text(encoding="utf-8"))
+    edit(doc)
+    side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
+    assert f"{side}: {message}" in capsys.readouterr().err
+
+
+STACK_ONTO_THE_SUFFERER = """
+seed: 3
+output_dir: {out}
+sweep: {{legs: 4, samples_per_leg: 5, altitudes: [0.5]}}
+datasets:
+  - {{name: single_k1, kind: side_by_side, k: 1}}
+  - {{name: stack_k3, kind: stack, k: 3}}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, overrides, message, kept",
+    [
+        # the third stack member (+0.25 m N, +0.5 m D) lands on the sufferer at the
+        # leg N = -0.25 m, altitude 0.5 m, in the middle sample (E = 0) of the leg
+        (
+            STACK_ONTO_THE_SUFFERER,
+            [],
+            "datasets[1] (stack_k3): data row 8: a neighbour coincides with the sufferer",
+            ["single_k1.csv", "single_k1.json"],
+        ),
+        (MINI_CFG, ["--set", "noise.sigma_torque=1.0e+308"], "datasets[0] (single_k1): data row 2: non-finite", []),
+    ],
+    ids=["neighbour_on_the_sufferer", "noise_overflows"],
+)
+def test_gen_refuses_a_dataset_that_train_would_refuse(tmp_path, capsys, text, overrides, message, kept):
+    """Without the refusal, ``gen`` exits 0 and ``train`` exits 5 on the same rows."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text.format(out=tmp_path / "run"), encoding="utf-8")
+    assert main(["gen", "--config", str(cfg), *overrides]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    datasets = tmp_path / "run" / "datasets"
+    assert sorted(path.name for path in datasets.glob("*")) == kept  # no CSV, sidecar or temp file of the refused one
 
 
 def test_nan_dataset_cell_is_format_error(tmp_path, capsys):

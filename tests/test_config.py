@@ -251,6 +251,22 @@ def test_non_finite_floats_rejected(override, path):
     assert _config_error(override).startswith(path + ": expected a finite number")
 
 
+@pytest.mark.parametrize("spelling, hint", [("1e-3", "1.0e-3"), ("2E5", "2.0e+5"), ("5.e3", "5.e+3")])
+def test_float_text_yaml_reads_as_a_string_gets_a_spelling_hint(tmp_path, spelling, hint):
+    """PyYAML (YAML 1.1) reads an exponent without a point or a sign as text."""
+    message = f"training.learning_rate: expected float, got '{spelling}' (YAML 1.1 reads it as text; write {hint})"
+    assert _config_error(f"training.learning_rate={spelling}") == message
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, MINIMAL + f"training: {{learning_rate: {spelling}}}\n"))
+    assert str(info.value) == message
+    assert load_config(_write(tmp_path, MINIMAL), [f"training.learning_rate={hint}"]).training.learning_rate == float(
+        spelling
+    )
+    # text float() cannot read, or reads as a non-finite number, gets no hint
+    for text in ("fast", "nan", "1e400"):
+        assert _config_error(f"training.learning_rate={text}") == f"training.learning_rate: expected float, got {text!r}"
+
+
 # -- fuzzing: any YAML-like document ends in a RunConfig or a ConfigError at a path
 
 _SCHEMA_CLASSES = (

@@ -12,8 +12,10 @@ from downwash.formations import Formation, FormationKind, SweepConfig, generate_
 from downwash.mlp import Mlp
 from downwash.models import (
     DeepSetModel,
+    DeepSetSettings,
     GridLookupModel,
     LinearAggModel,
+    LinearSettings,
     fit_grid,
     load_model,
     save_model,
@@ -290,10 +292,30 @@ def test_single_altitude_grid_cell_is_one_spacing_high():
     np.testing.assert_array_equal(grid.query([0.0, 0.0, -1.3 - 0.21]), np.zeros(6))
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: LinearSettings(hidden=(0,)), "hidden"),
+        (lambda: LinearSettings(hidden=(8, -2)), "hidden"),
+        (lambda: DeepSetSettings(embed_dim=0), "embed_dim"),
+        (lambda: DeepSetSettings(decoder_hidden=(-2,)), "decoder_hidden"),
+    ],
+    ids=["zero_hidden", "negative_hidden", "zero_embed_dim", "negative_decoder_hidden"],
+)
+def test_settings_refuse_sizes_below_one(make, field):
+    """The settings refuse the size, so no ``initialised`` built from them
+    reaches ``rng.uniform`` (an OverflowError at 0) or numpy's "negative
+    dimensions"."""
+    with pytest.raises(ValueError, match=rf"^{field}: every size must be >= 1"):
+        make()
+
+
 def test_model_serialization_round_trip(tmp_path, rng):
     models = {
-        "linear.json": LinearAggModel.initialised(rng, hidden=(8, 8)),
-        "deepset.json": DeepSetModel.initialised(rng, embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,)),
+        "linear.json": LinearAggModel.initialised(rng, LinearSettings(hidden=(8, 8))),
+        "deepset.json": DeepSetModel.initialised(
+            rng, DeepSetSettings(embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,))
+        ),
         "grid.json": _uniform_grid_model(rng),
     }
     feats = relative_features(random_states(rng, 3)[None])
@@ -318,8 +340,8 @@ def _params(model) -> np.ndarray:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda rng: LinearAggModel.initialised(rng, hidden=(8,)),
-        lambda rng: DeepSetModel.initialised(rng, embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,)),
+        lambda rng: LinearAggModel.initialised(rng, LinearSettings(hidden=(8,))),
+        lambda rng: DeepSetModel.initialised(rng, DeepSetSettings(embed_dim=8, phi_hidden=(8,), decoder_hidden=(8,))),
         _uniform_grid_model,
     ],
     ids=["linear", "deepset", "grid"],
@@ -362,7 +384,7 @@ def test_set_network_parameters_are_views_of_its_flat_vector(tmp_path, rng, mode
 
 
 def test_failed_save_leaves_the_previous_model_file(tmp_path, rng):
-    model = LinearAggModel.initialised(rng, hidden=(8,))
+    model = LinearAggModel.initialised(rng, LinearSettings(hidden=(8,)))
     path = tmp_path / "model.json"
     save_model(model, path)
     before = path.read_bytes()
@@ -383,7 +405,7 @@ def test_malformed_network_dims_are_format_error(tmp_path, rng, dims):
     the values the dims call for; both are checked before a network is built,
     so the 12 GiB that [6, 40000, 40000, 6] would need is never asked for."""
     path = tmp_path / "model.json"
-    save_model(LinearAggModel.initialised(rng, hidden=(8,)), path)
+    save_model(LinearAggModel.initialised(rng, LinearSettings(hidden=(8,))), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["psi"]["dims"] = dims
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -11,7 +11,7 @@ from downwash.dataset import Dataset
 from downwash.field import DownwashParams, MergeParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 from downwash.mlp import Adam
-from downwash.models import DeepSetModel, LinearAggModel, load_model, save_model
+from downwash.models import DeepSetModel, DeepSetSettings, LinearAggModel, LinearSettings, load_model, save_model
 from downwash.rng import stream
 from downwash.training import (
     TrainConfig,
@@ -69,7 +69,9 @@ def test_training_is_bitwise_deterministic():
     cfg = TrainConfig(epochs=5, seed=77, batch_size=64)
     params = []
     for _ in range(2):
-        model = DeepSetModel.initialised(stream(9), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+        model = DeepSetModel.initialised(
+            stream(9), DeepSetSettings(embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+        )
         history = train(model, data, cfg)
         params.append((model.flat.copy(), history))
     assert np.array_equal(params[0][0], params[1][0])
@@ -79,9 +81,9 @@ def test_training_is_bitwise_deterministic():
 @pytest.mark.parametrize("kind", ["linear", "deepset"])
 def test_set_summation_gradients_match_finite_differences(kind, rng):
     if kind == "linear":
-        model = LinearAggModel.initialised(stream(11), hidden=(8,))
+        model = LinearAggModel.initialised(stream(11), LinearSettings(hidden=(8,)))
     else:
-        model = DeepSetModel.initialised(stream(12), embed_dim=6, phi_hidden=(8,), decoder_hidden=(8,))
+        model = DeepSetModel.initialised(stream(12), DeepSetSettings(embed_dim=6, phi_hidden=(8,), decoder_hidden=(8,)))
     data = [_merging_k3(samples=2)]
     rows, counts, targets = dataset_arrays(data)
     rows, counts, targets = rows[: counts[:6].sum()], counts[:6], targets[:6]
@@ -105,7 +107,7 @@ def test_mixed_k_batches_train(rng):
         noise=NoiseParams(seed=5),
     )
     k3 = _merging_k3(samples=10)
-    model = DeepSetModel.initialised(stream(21), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+    model = DeepSetModel.initialised(stream(21), DeepSetSettings(embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,)))
     history = train(model, [k1, k3], TrainConfig(epochs=4, seed=6, batch_size=32))
     assert len(history) == 4 and np.isfinite(history).all()
     rows, counts, _ = dataset_arrays([k1, k3])
@@ -131,7 +133,7 @@ def test_k0_and_k3_mix_trains():
     data = [_k0(), _merging_k3(samples=5)]
     rows, counts, _ = dataset_arrays(data)
     assert set(counts) == {0, 3} and len(rows) == counts.sum()
-    model = DeepSetModel.initialised(stream(41), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+    model = DeepSetModel.initialised(stream(41), DeepSetSettings(embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,)))
     history = train(model, data, TrainConfig(epochs=3, seed=5, batch_size=16))
     assert len(history) == 3 and np.isfinite(history).all()
     assert np.isfinite(model.flat).all()
@@ -189,7 +191,7 @@ def test_train_config_validation():
 
 
 def _deepset(seed=50):
-    return DeepSetModel.initialised(stream(seed), embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,))
+    return DeepSetModel.initialised(stream(seed), DeepSetSettings(embed_dim=16, phi_hidden=(16,), decoder_hidden=(16,)))
 
 
 def _ragged_batch(rng, counts):
