@@ -61,57 +61,57 @@ def cmd_gen(cfg: RunConfig) -> list:
 
 
 def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
-    """Fit the naive grid and train both learnt models; returns model paths."""
-    base = Path(datasets_dir) if datasets_dir else cfg.output_dir / "datasets"
-    loaded = {}
+    """Fit the naive grid and train both learnt models; returns model paths.
 
-    def _load(name: str):
-        """Each dataset is read once, however many models use it."""
+    Every dataset is read and every model fitted before the first file is
+    written, so a malformed dataset or a divergence leaves the previous
+    run's model files as they were."""
+    base = Path(datasets_dir) if datasets_dir else cfg.output_dir / "datasets"
+    learnt = (
+        ("learnt_linear", LinearAggModel, cfg.linear, "models.linear.train_on"),
+        ("learnt_nonlinear", DeepSetModel, cfg.deepset, "models.deepset.train_on"),
+    )
+
+    # every dataset name resolves before any file is read
+    fit_on = cfg.naive.fit_on
+    sweep = cfg.dataset_spec(fit_on, "models.naive.fit_on").sweep
+    for _, _, settings, key in learnt:
+        for name in settings.train_on:
+            cfg.dataset_spec(name, key)
+    loaded = {}  # each dataset is read once, however many models use it
+    for name in (fit_on, *cfg.linear.train_on, *cfg.deepset.train_on):
         if name not in loaded:
             path = base / f"{name}.csv"
             if not path.exists():
                 raise FileNotFoundError(f"dataset {name!r} not found at {path} (run 'gen' first?)")
             loaded[name] = load_dataset(path)
-        return loaded[name]
 
-    out = cfg.output_dir / "models"
-    paths = []
-
-    # every dataset name resolves before any file is read or written
-    fit_on = cfg.naive.fit_on
-    sweep = cfg.dataset_spec(fit_on, "models.naive.fit_on").sweep
-    for key, settings in (("models.linear.train_on", cfg.linear), ("models.deepset.train_on", cfg.deepset)):
-        for name in settings.train_on:
-            cfg.dataset_spec(name, key)
-    fit_data = _load(fit_on)  # outside the try: a malformed file keeps its own message
     try:
-        grid = fit_grid(fit_data, sweep, cfg.naive.resolution)
+        grid = fit_grid(loaded[fit_on], sweep, cfg.naive.resolution)
     except ValueError as exc:
         # a well-formed dataset that another config generated (stale data)
         raise FormatError(f"{base / f'{fit_on}.csv'}: cannot fit the naive grid: {exc}") from None
-    path = out / "naive_linear.json"
-    save_model(grid, path)
-    print(f"train: naive_linear fitted on {fit_on} -> {path}")
-    paths.append(path)
-
-    for name, cls, settings in (
-        ("learnt_linear", LinearAggModel, cfg.linear),
-        ("learnt_nonlinear", DeepSetModel, cfg.deepset),
-    ):
+    trained = []
+    for name, cls, settings, _ in learnt:
         model = cls.initialised(stream(substream_seed(cfg.seed, f"init:{name}")), settings)
-        data = [_load(ds) for ds in settings.train_on]
         tcfg = dataclasses.replace(cfg.training, seed=substream_seed(cfg.seed, f"train:{name}"))
-        history = train(model, data, tcfg)
+        history = train(model, [loaded[ds] for ds in settings.train_on], tcfg)
         model.metadata["trained_on"] = list(settings.train_on)
-        path = out / f"{name}.json"
-        save_model(model, path)
+        trained.append((name, model, history))
+
+    out = cfg.output_dir / "models"
+    paths = [out / "naive_linear.json"]
+    save_model(grid, paths[0])
+    print(f"train: naive_linear fitted on {fit_on} -> {paths[0]}")
+    for name, model, history in trained:
+        paths.append(out / f"{name}.json")
+        save_model(model, paths[-1])
         write_csv(
             out / f"{name}_loss.csv",
             [["epoch", "loss"], *([str(epoch), repr(float(loss))] for epoch, loss in enumerate(history))],
         )
         final = history[-1] if history else float("nan")
-        print(f"train: {name} on {list(settings.train_on)}: final loss {final:.6g} -> {path}")
-        paths.append(path)
+        print(f"train: {name} on {model.metadata['trained_on']}: final loss {final:.6g} -> {paths[-1]}")
     return paths
 
 

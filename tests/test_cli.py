@@ -302,6 +302,43 @@ def test_diverging_training_exits_4(tmp_path, capsys):
     assert "encoder.W0" in err and "Traceback" not in err, err
 
 
+def _model_files(models) -> dict:
+    """Each file's bytes and inode: a rewrite with the same bytes still
+    replaces the inode (see ``write_atomic``)."""
+    return {path.name: (path.read_bytes(), path.stat().st_ino) for path in models.iterdir()}
+
+
+def _cut_k3_by_one_row(out):
+    path = out / "datasets" / "leader_follower_k3.csv"
+    blob = path.read_bytes()
+    path.write_bytes(blob[: blob.rindex(b"\r\n", 0, len(blob) - 2) + 2])
+
+
+@pytest.mark.parametrize(
+    "damage, overrides, code, message",
+    [
+        (_cut_k3_by_one_row, [], EXIT_FORMAT, "639 data rows, the sidecar says 640"),
+        (lambda out: None, ["--set", "training.learning_rate=1.0e+160"], EXIT_DIVERGENCE, "numeric divergence"),
+    ],
+    ids=["cut_k3_dataset", "divergence"],
+)
+def test_failed_train_keeps_the_previous_models(tmp_path, capsys, damage, overrides, code, message):
+    """``train`` reads every dataset and fits every model before it writes
+    the first file, so the grid fitted on the intact ``single_k1`` is not
+    rewritten either."""
+    run = ["--config", "configs/quick.yaml", "--seed", "11", "--out", str(tmp_path / "run")]
+    assert main(["gen", *run]) == EXIT_OK
+    assert main(["train", *run]) == EXIT_OK
+    models = tmp_path / "run" / "models"
+    before = _model_files(models)
+    assert len(before) == 5
+    damage(tmp_path / "run")
+    capsys.readouterr()
+    assert main(["train", *run, *overrides]) == code
+    assert message in capsys.readouterr().err
+    assert _model_files(models) == before
+
+
 def test_missing_models_reported_clearly(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     assert main(["eval", "--config", str(cfg)]) == EXIT_IO
@@ -316,9 +353,10 @@ def test_bad_override_exit_code(tmp_path):
 
 def _cut_last_row(path, keep_cells):
     """Truncate the file a few characters into cell ``keep_cells`` of its last row."""
-    head, last = path.read_text(encoding="utf-8").rstrip("\n").rsplit("\n", 1)
-    cells = last.split(",")
-    path.write_text(head + "\n" + ",".join(cells[:keep_cells] + [cells[keep_cells][:3]]), encoding="utf-8")
+    blob = path.read_bytes()
+    start = blob.rindex(b"\r\n", 0, len(blob) - 2) + 2
+    cells = blob[start:-2].split(b",")
+    path.write_bytes(blob[:start] + b",".join(cells[:keep_cells] + [cells[keep_cells][:3]]))
 
 
 # single_k1 rows: time, 7 sufferer cells, k, 7 neighbour cells, 6 truth and 6 measured cells.
@@ -329,7 +367,8 @@ def test_truncated_dataset_is_format_error(tmp_path, capsys, keep_cells):
     path = tmp_path / "run" / "datasets" / "single_k1.csv"
     _cut_last_row(path, keep_cells)
     assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: data row 320: {keep_cells + 1} cells for k=1, header has 28" in err, err
 
 
 def test_truncated_model_is_format_error(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downwash.dataset import Dataset, FormatError, _columns, load_dataset, save_dataset, sidecar_path, write_atomic
 from downwash.field import DownwashParams, NoiseParams
@@ -77,6 +81,16 @@ def test_rows_are_the_bytes_csv_writer_writes(tmp_path):
         assert cell in body
 
 
+def test_distance_beyond_the_float_range_is_no_coincidence(tmp_path):
+    """A neighbour's distance that overflows to inf passes the coincidence
+    check without a RuntimeWarning (an error under this suite's filter)."""
+    data = _small_dataset()
+    data.states[0, 1, 2] = 1e200
+    path = tmp_path / "d.csv"
+    save_dataset(data, path)
+    assert _same_arrays(load_dataset(path), data)
+
+
 def test_failed_rename_keeps_the_old_dataset_loadable(tmp_path, monkeypatch):
     path = tmp_path / "d.csv"
     old = _small_dataset()
@@ -143,3 +157,163 @@ def test_write_atomic_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeyp
         write_atomic(path, b"new\n")
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _same_arrays(a, b) -> bool:
+    """Bitwise equality, so ``-0.0`` and ``0.0`` count as different."""
+    return all(
+        np.array_equal(getattr(a, name).view(np.uint64), getattr(b, name).view(np.uint64))
+        for name in ("time", "states", "truth", "measured")
+    )
+
+
+# repr's exponent switch points (1e16, 1e-05) and their neighbours, the
+# subnormal and largest finite values, and signed zeros
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 9.999999999999999e-06,
+          2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
+_values = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _column(n, values):
+    return st.one_of(
+        values.map(lambda v: [v] * n),
+        st.lists(values, min_size=n, max_size=n, unique_by=repr),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+        st.lists(values, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        ),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """A Dataset whose columns are each all-equal, all-distinct, signed zeros
+    or repeats of a few values.  The sufferer's ``pos_d`` is <= 0 and each
+    neighbour's >= 1, so no neighbour coincides with the sufferer."""
+    n, k = draw(st.integers(1, 20)), draw(st.integers(0, 2))
+    columns = [draw(_column(n, _values)) for _ in range(1 + 7 * (k + 1) + 12)]
+    columns[3] = [-abs(v) for v in draw(_column(n, _values))]
+    for i in range(k):
+        columns[10 + 7 * i] = [1.0 + abs(v) for v in draw(_column(n, _values))]
+    table = np.array(columns).T.reshape(n, -1)
+    states = table[:, 1 : 8 + 7 * k].reshape(n, k + 1, 7)
+    wrenches = table[:, 8 + 7 * k :]
+    return Dataset(table[:, 0].copy(), states.copy(), wrenches[:, :6].copy(), wrenches[:, 6:].copy(), {"name": "t"})
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+@FUZZ
+@given(_tables())
+def test_encoder_writes_the_csv_writer_bytes_for_any_table(scratch, data):
+    path, again = scratch / "a.csv", scratch / "b.csv"
+    save_dataset(data, path)
+    assert path.read_bytes() == _csv_writer_body(data)
+    loaded = load_dataset(path)
+    assert _same_arrays(loaded, data)
+    save_dataset(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert sidecar_path(again).read_bytes() == sidecar_path(path).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A small dataset's CSV and sidecar bytes, and the dataset they load as."""
+    path = tmp_path_factory.mktemp("saved") / "d.csv"
+    save_dataset(_small_dataset(), path)
+    return path.read_bytes(), sidecar_path(path).read_bytes(), load_dataset(path)
+
+
+def _loads_the_same_or_refuses(scratch, blob, side, original) -> None:
+    """Write a (damaged) CSV and sidecar; loading them must give the original
+    arrays or a FormatError naming one of the two files, nothing else."""
+    path = scratch / "fuzz.csv"
+    path.write_bytes(blob)
+    sidecar_path(path).write_bytes(side)
+    try:
+        loaded = load_dataset(path)
+    except FormatError as exc:
+        assert str(path) in str(exc) or str(sidecar_path(path)) in str(exc), str(exc)
+    else:
+        assert _same_arrays(loaded, original)
+
+
+def _flip(blob, at, mask):
+    at %= len(blob)
+    return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :]
+
+
+def _nth(blob, sep, n):
+    """The offset of occurrence ``n`` (modulo their count) of ``sep`` in
+    ``blob`` from the column row on, past the ``#`` header records."""
+    column_row = blob.rindex(b"\n", 0, blob.index(b"\r\n")) + 1
+    starts = [i for i in range(column_row, len(blob)) if blob.startswith(sep, i)]
+    return starts[n % len(starts)]
+
+
+def _lf_endings(blob, n):
+    """The ``\\r\\n`` ending row ``n`` (modulo the rows but the last, whose
+    bare ``\\n`` would be whitespace to ``float``) or, for n < 0, every
+    ``\\r\\n`` made a bare ``\\n``."""
+    if n < 0:
+        return blob.replace(b"\r\n", b"\n")
+    at = _nth(blob[: blob.rindex(b"\r\n")], b"\r\n", n)
+    return blob[:at] + blob[at + 1 :]
+
+
+def _quoted_cell(blob, n):
+    """The cell after comma ``n`` wrapped in double quotes."""
+    at = _nth(blob, b",", n) + 1
+    end = min(i for i in (blob.find(b",", at), blob.find(b"\r", at)) if i >= 0)
+    return blob[:at] + b'"' + blob[at:end] + b'"' + blob[end:]
+
+
+def _comma(blob, n, extra):
+    """Comma ``n`` doubled (``extra``) or removed."""
+    at = _nth(blob, b",", n)
+    return blob[:at] + (b",," if extra else b"") + blob[at + 1 :]
+
+
+_truncations = st.integers(0, 10**6).map(lambda at: lambda blob: blob[: at % (len(blob) + 1)])
+_flips = st.tuples(st.integers(0, 10**6), st.integers(1, 255)).map(lambda a: lambda blob: _flip(blob, *a))
+_csv_syntax = st.one_of(
+    st.integers(-1, 10**3).map(lambda n: lambda blob: _lf_endings(blob, n)),
+    st.integers(0, 10**3).map(lambda n: lambda blob: _quoted_cell(blob, n)),
+    st.tuples(st.integers(0, 10**3), st.booleans()).map(lambda a: lambda blob: _comma(blob, *a)),
+)
+
+
+@FUZZ
+@given(st.one_of(_truncations, _flips, _csv_syntax))
+def test_damaged_dataset_loads_the_same_or_is_format_error(scratch, saved, damage):
+    blob, side, original = saved
+    _loads_the_same_or_refuses(scratch, damage(blob), side, original)
+
+
+@FUZZ
+@given(st.one_of(_truncations, _flips))
+def test_damaged_sidecar_loads_the_same_or_is_format_error(scratch, saved, damage):
+    blob, side, original = saved
+    _loads_the_same_or_refuses(scratch, blob, damage(side), original)
+
+
+@FUZZ
+@given(_csv_syntax)
+def test_only_csv_reader_syntax_is_format_error_under_a_matching_digest(scratch, saved, damage):
+    """Bare-LF row ends, quoted cells and a comma too many or too few are
+    refused by the parser itself, not only by the digest."""
+    blob, side, _ = saved
+    damaged = damage(blob)
+    doc = json.loads(side)
+    doc["sha256"] = hashlib.sha256(damaged).hexdigest()
+    path = scratch / "resealed.csv"
+    path.write_bytes(damaged)
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_dataset(path)
