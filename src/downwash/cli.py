@@ -16,8 +16,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, altitude_tag, load_config
-from .dataset import FormatError, load_dataset, save_dataset, write_csv
+from .dataset import FormatError, encode_table, load_dataset, save_dataset, write_atomic
 from .evaluate import benchmark, contour_to_csv, report_planes
 from .field import make_oracle
 from .formations import generate_sweep
@@ -106,10 +108,8 @@ def cmd_train(cfg: RunConfig, datasets_dir: Path | None = None) -> list:
     for name, model, history in trained:
         paths.append(out / f"{name}.json")
         save_model(model, paths[-1])
-        write_csv(
-            out / f"{name}_loss.csv",
-            [["epoch", "loss"], *([str(epoch), repr(float(loss))] for epoch, loss in enumerate(history))],
-        )
+        columns = [np.arange(len(history)), np.array(history, float)]
+        write_atomic(out / f"{name}_loss.csv", encode_table(["epoch", "loss"], columns))
         final = history[-1] if history else float("nan")
         print(f"train: {name} on {model.metadata['trained_on']}: final loss {final:.6g} -> {paths[-1]}")
     return paths

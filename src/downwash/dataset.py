@@ -2,9 +2,8 @@
 
 This module owns the encoding and the write of every output file: datasets,
 sidecars, model files, loss histories and reports are encoded by
-:func:`save_dataset`, :func:`write_csv`, :func:`write_float_rows` or
-:func:`write_json` and replaced whole by :func:`write_atomic`, so no reader
-sees a partial file.
+:func:`encode_table`, :func:`write_csv` or :func:`write_json` and replaced
+whole by :func:`write_atomic`, so no reader sees a partial file.
 
 A dataset holds n samples sharing one neighbour count K as arrays: ``time``
 (n,), ``states`` (n, K+1, 7) with the sufferer first (see
@@ -17,13 +16,14 @@ checks both, so a file cut at a row boundary or edited after it was written
 is refused.  All numbers use Python's shortest round-trip decimal repr, so a
 load/save cycle is byte-identical.
 
-The dataset codec works on whole tables.  :func:`save_dataset` encodes each
-column's distinct float64 bit patterns once (``-0.0`` and ``0.0`` stay
-apart) and writes every data row with one ``%`` format of a row template;
-the file is still exactly what ``csv.writer`` writes with ``repr`` cells.
-:func:`load_dataset` splits the text on ``\\r\\n`` and each row on commas
-instead of running ``csv.reader``, so rows ended by a bare ``\\n`` or quoted
-cells, which ``save_dataset`` never writes, are refused.
+Every table of numbers (a dataset's rows, the slice and contour reports,
+the loss histories) is encoded whole by :func:`encode_table`: each column's
+distinct values go through ``repr`` once and one ``%`` format of a row
+template writes every row, and the text is still exactly what
+``csv.writer`` writes with ``repr`` cells.  :func:`load_dataset` splits the
+text on ``\\r\\n`` and each row on commas instead of running ``csv.reader``,
+so rows ended by a bare ``\\n`` or quoted cells, which ``save_dataset``
+never writes, are refused.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MIN_SEPARATION, separations
+from .core import MIN_SEPARATION, WRENCH_AXES, separations
 
 FORMAT_VERSION = 1
 
 _STATE_FIELDS = ("pos_n", "pos_e", "pos_d", "vel_n", "vel_e", "vel_d", "yaw")
-_WRENCH_FIELDS = ("f_n", "f_e", "f_d", "t_pitch", "t_roll", "t_yaw")
 
 
 class FormatError(ValueError):
@@ -77,22 +76,26 @@ def write_csv(path, rows) -> None:
     write_atomic(path, fh.getvalue().encode("utf-8"))
 
 
-def write_float_rows(path, header, table, lead=None) -> None:
-    """Write a CSV file of float rows in UTF-8 through :func:`write_atomic`:
-    the ``header`` names, then per row of the 2-D ``table`` its ``repr``
-    cells, each line joined by commas and ended by ``\\r\\n``.  ``lead[i]``,
-    when given, is text put before row i's cells: leading cells already
-    encoded, with their trailing comma.
+def encode_table(header, columns) -> bytes:
+    """The UTF-8 CSV text of a table of numbers: the ``header`` names, then
+    per row its cells, each line joined by commas and ended by ``\\r\\n``.
 
-    Header names must be non-empty and need no quoting.  A float ``repr``
-    never needs it, so the file is the bytes ``csv.writer`` writes for these
-    rows (see :func:`save_dataset`)."""
+    ``columns`` are equal-length 1-D float64 or int64 arrays, one per name;
+    a cell is the ``repr`` of its value, so an int64 cell reads ``3``.  Each
+    column's distinct bit patterns go through ``repr`` once (``-0.0`` and
+    ``0.0`` stay apart), and one ``%`` format of the row template writes
+    every row.  Header names must be non-empty and need no quoting.  A
+    number's ``repr`` never needs it, so the text is the bytes
+    ``csv.writer`` writes for these rows."""
     if any(not name or set(name) & set(',"\r\n') for name in header):
         raise ValueError(f"header {header!r} holds a name that csv.writer would quote")
-    rows = [",".join(map(repr, row)) for row in table.tolist()]
-    if lead is not None:
-        rows = map(str.__add__, lead, rows)
-    write_atomic(path, "\r\n".join([",".join(header), *rows, ""]).encode("utf-8"))
+    n = len(columns[0])
+    cells = np.empty((len(columns), n), dtype=object)
+    for j, column in enumerate(columns):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        cells[j] = np.array(list(map(repr, bits.view(column.dtype).tolist())), dtype=object)[inverse]
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
+    return (",".join(header) + "\r\n" + (row * n) % tuple(cells.T.ravel())).encode("utf-8")
 
 
 def write_json(path, doc, indent=None) -> None:
@@ -132,8 +135,8 @@ def _columns(k: int) -> list:
     cols += ["k"]
     for i in range(k):
         cols += [f"nb{i}_{f}" for f in _STATE_FIELDS]
-    cols += [f"gt_{f}" for f in _WRENCH_FIELDS]
-    cols += [f"meas_{f}" for f in _WRENCH_FIELDS]
+    cols += [f"gt_{f}" for f in WRENCH_AXES]
+    cols += [f"meas_{f}" for f in WRENCH_AXES]
     return cols
 
 
@@ -154,43 +157,24 @@ def _check_rows(table: np.ndarray, states: np.ndarray) -> None:
         raise ValueError(f"data row {int(np.argmax(bad)) + 1}: {fault}")
 
 
-def _encode_rows(table: np.ndarray, k: int) -> str:
-    """The data rows of ``table`` as :func:`save_dataset` writes them.  A
-    column's cells are ``repr``'d once per distinct float64 bit pattern, so
-    ``-0.0`` and ``0.0`` stay apart."""
-    n, m = table.shape
-    cells = np.empty((m, n), dtype=object)
-    for j, column in enumerate(table.T):
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        cells[j] = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse]
-    row = ",".join(["%s"] * 8 + [str(k)] + ["%s"] * (m - 8)) + "\r\n"
-    return (row * n) % tuple(cells.T.ravel())
-
-
 def save_dataset(data: Dataset, csv_path) -> None:
     """Write the CSV file through :func:`write_atomic`, then its JSON sidecar
     through :func:`write_json`.  A dataset that :func:`load_dataset` would
     refuse for its values raises ValueError before anything is written.
 
-    The header records and the column row go through ``csv.writer``.  Each
-    data row is ``time``, the flattened ``states``, ``truth`` and
-    ``measured`` as float ``repr`` cells joined by commas, with ``k`` as an
-    integer cell at column 8 and ``\\r\\n`` at the end.  The rows are
-    encoded as one table: each column's distinct bit patterns go through
-    ``repr`` once, and one ``%`` format of the row template writes every
-    row.  A float ``repr`` never holds a comma, quote or newline, so this is
-    the same bytes as ``csv.writer`` would write for the rows.
+    The ``#`` header records come first.  The column row and the data rows
+    are one :func:`encode_table` of the columns ``time``, the flattened
+    ``states`` with ``k`` as an int64 column at position 8, ``truth`` and
+    ``measured``, so each row is float ``repr`` cells and the integer ``k``.
     """
     n = len(data)
     table = np.concatenate([data.time[:, None], data.states.reshape(n, -1), data.truth, data.measured], axis=1)
     _check_rows(table, data.states)
-    fh = io.StringIO(newline="")
-    fh.write(f"# downwash-dataset version={FORMAT_VERSION}\n")
-    for key in sorted(data.metadata):
-        fh.write(f"# {key}={json.dumps(data.metadata[key], sort_keys=True)}\n")
-    csv.writer(fh).writerow(_columns(data.k))
-    fh.write(_encode_rows(table, data.k))
-    body = fh.getvalue().encode("utf-8")
+    columns = list(table.T)
+    columns.insert(8, np.full(n, data.k))
+    records = [f"# downwash-dataset version={FORMAT_VERSION}\n"]
+    records += [f"# {key}={json.dumps(data.metadata[key], sort_keys=True)}\n" for key in sorted(data.metadata)]
+    body = "".join(records).encode("utf-8") + encode_table(_columns(data.k), columns)
     write_atomic(csv_path, body)
     doc = {
         "format": "downwash-dataset",

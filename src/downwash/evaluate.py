@@ -22,9 +22,8 @@ each callable once per K.
 :func:`benchmark` marks each plane's winners where it computes that plane's
 errors: on each axis, the first model with the lowest finite error wins.
 
-Slice and contour files are float rows, encoded and written by
-:func:`downwash.dataset.write_float_rows`; a contour plane's files share the
-encoded ``n,e`` cells of each row.  The error table goes through
+Slice and contour files are tables of floats, encoded by
+:func:`downwash.dataset.encode_table`.  The error table goes through
 :func:`downwash.dataset.write_csv` and :func:`downwash.dataset.write_json`.
 Every report file is replaced whole.
 """
@@ -38,7 +37,7 @@ from typing import Literal
 import numpy as np
 
 from .core import WRENCH_AXES
-from .dataset import write_csv, write_float_rows, write_json
+from .dataset import encode_table, write_atomic, write_csv, write_json
 from .field import Oracle
 from .formations import Formation, SweepConfig, centroid_features, midpoints
 
@@ -138,8 +137,8 @@ class SliceProfile:
     columns: dict                  # name -> D-force array
 
     def to_csv(self, path) -> None:
-        table = np.column_stack([self.positions, *self.columns.values()])
-        write_float_rows(path, [f"{self.axis}_position", *self.columns], table)
+        header = [f"{self.axis}_position", *self.columns]
+        write_atomic(path, encode_table(header, [self.positions, *self.columns.values()]))
 
 
 def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
@@ -178,12 +177,10 @@ def report_planes(callables: dict, ev: EvalSettings, speed: float) -> list:
 
 def contour_to_csv(axis, grids: dict, paths: dict) -> None:
     """Write each grid of :func:`report_planes` to ``paths[name]`` as
-    ``n,e,f_d`` rows, n-major; each row's ``n,e`` cells are encoded once for
-    all the files."""
-    cells = list(map(repr, axis.tolist()))
-    lead = [f"{n},{e}," for n in cells for e in cells]
+    ``n,e,f_d`` rows, n-major."""
+    n, e = (coords.ravel() for coords in np.meshgrid(axis, axis, indexing="ij"))
     for name, values in grids.items():
-        write_float_rows(paths[name], ["n", "e", "f_d"], np.reshape(values, (len(lead), 1)), lead)
+        write_atomic(paths[name], encode_table(["n", "e", "f_d"], [n, e, np.ravel(values)]))
 
 
 @dataclass

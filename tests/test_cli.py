@@ -132,6 +132,24 @@ def test_train_loss_history_reproducible(tmp_path):
     assert hist_a == hist_b
 
 
+def test_loss_file_cells_are_epoch_and_loss_reprs(tmp_path):
+    cfg = _cfg(tmp_path)
+    main(["gen", "--config", str(cfg)])
+    out = tmp_path / "run" / "models"
+    for epochs in (2, 0):
+        assert main(["train", "--config", str(cfg), "--set", f"training.epochs={epochs}"]) == EXIT_OK
+        for name in ("learnt_linear", "learnt_nonlinear"):
+            body = (out / f"{name}_loss.csv").read_bytes()
+            lines = body.split(b"\r\n")
+            assert lines.pop() == b"" and not any(b"\n" in line or b"\r" in line for line in lines)
+            assert lines[0] == b"epoch,loss" and len(lines) == 1 + epochs
+            for i, line in enumerate(lines[1:]):
+                epoch, loss = line.decode().split(",")
+                assert epoch == str(i) and loss == repr(float(loss))
+            if not epochs:
+                assert body == b"epoch,loss\r\n"
+
+
 def test_train_reads_each_dataset_once(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path)
     main(["gen", "--config", str(cfg)])

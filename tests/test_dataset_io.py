@@ -10,9 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downwash.dataset import Dataset, FormatError, _columns, load_dataset, save_dataset, sidecar_path, write_atomic
+from downwash.dataset import (
+    Dataset,
+    FormatError,
+    _columns,
+    encode_table,
+    load_dataset,
+    save_dataset,
+    sidecar_path,
+    write_atomic,
+)
 from downwash.field import DownwashParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
+
+from conftest import json_swap_fuzz, json_swaps
 
 
 def _small_dataset():
@@ -204,14 +215,41 @@ def _tables(draw):
     return Dataset(table[:, 0].copy(), states.copy(), wrenches[:, :6].copy(), wrenches[:, 6:].copy(), {"name": "t"})
 
 
+_report_values = st.one_of(_values, st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+_int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _report_columns(draw):
+    """Columns that reports and loss histories hand the encoder but a dataset
+    never holds: NaN and ±inf cells, int64 columns, no rows, and strided
+    views such as a wrench batch's ``[:, 2]``."""
+    n = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            column = np.array(draw(_column(n, _int64s)), dtype=np.int64)
+        else:
+            column = np.array(draw(_column(n, _report_values)), dtype=np.float64)
+        if draw(st.booleans()):
+            column = np.stack([np.zeros_like(column), column, column], axis=1)[:, 1]
+        columns.append(column)
+    return columns
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("codec")
 
 
 @FUZZ
-@given(_tables())
-def test_encoder_writes_the_csv_writer_bytes_for_any_table(scratch, data):
+@given(_tables(), _report_columns())
+def test_encoder_writes_the_csv_writer_bytes_for_any_table(scratch, data, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    reference = io.StringIO(newline="")
+    csv.writer(reference).writerows([header, *([repr(v) for v in row] for row in zip(*(c.tolist() for c in columns)))])
+    assert encode_table(header, columns) == reference.getvalue().encode("utf-8")
+
     path, again = scratch / "a.csv", scratch / "b.csv"
     save_dataset(data, path)
     assert path.read_bytes() == _csv_writer_body(data)
@@ -301,6 +339,15 @@ def test_damaged_dataset_loads_the_same_or_is_format_error(scratch, saved, damag
 def test_damaged_sidecar_loads_the_same_or_is_format_error(scratch, saved, damage):
     blob, side, original = saved
     _loads_the_same_or_refuses(scratch, blob, damage(side), original)
+
+
+@json_swap_fuzz
+def test_sidecar_with_a_value_swapped_loads_the_same_or_is_format_error(scratch, saved, value):
+    """At every key path of the sidecar, ``value`` in place of the original
+    or the key deleted."""
+    blob, side, original = saved
+    for _, doc in json_swaps(json.loads(side), value):
+        _loads_the_same_or_refuses(scratch, blob, json.dumps(doc).encode("utf-8"), original)
 
 
 @FUZZ

@@ -271,14 +271,18 @@ def _csv_writer_bytes(header, table):
 
 
 def test_slice_file_is_the_bytes_csv_writer_writes(tmp_path):
-    positions = np.array(EDGE[::-1])
-    columns = {"edge": np.array(EDGE), "ground_truth": np.roll(EDGE, 3)}
-    SliceProfile("n", positions, columns).to_csv(tmp_path / "s.csv")
-    body = (tmp_path / "s.csv").read_bytes()
-    table = np.column_stack([positions, *columns.values()])
-    assert body == _csv_writer_bytes(["n_position", "edge", "ground_truth"], table)
-    for cell in (b"-0.0", b"1e-05", b"1e+16", b"nan", b"inf", b"-inf", b"0.30000000000000004"):
-        assert cell in body
+    for rows in (len(EDGE), 0):
+        positions = np.array(EDGE[::-1])[:rows]
+        wrenches = np.zeros((rows, 6))
+        wrenches[:, 2] = np.roll(EDGE, 3)[:rows]
+        # a column that is a strided view, as report_planes' wrench[:, 2] is
+        columns = {"edge": np.array(EDGE)[:rows], "ground_truth": wrenches[:, 2]}
+        SliceProfile("n", positions, columns).to_csv(tmp_path / "s.csv")
+        body = (tmp_path / "s.csv").read_bytes()
+        table = np.column_stack([positions, *columns.values()])
+        assert body == _csv_writer_bytes(["n_position", "edge", "ground_truth"], table)
+        for cell in (b"-0.0", b"1e-05", b"1e+16", b"nan", b"inf", b"-inf", b"0.30000000000000004"):
+            assert (cell in body) == bool(rows)
 
 
 def test_contour_files_are_the_bytes_csv_writer_writes(tmp_path):

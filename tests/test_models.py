@@ -22,7 +22,7 @@ from downwash.models import (
     segment_sum,
 )
 
-from conftest import random_states
+from conftest import json_swap_fuzz, json_swaps, random_states
 
 
 def test_snapshot_features_canonical_order(rng):
@@ -355,6 +355,42 @@ def test_extreme_values_survive_save_load_save_bitwise(tmp_path, rng, make):
     assert np.signbit(_params(loaded).reshape(-1)[0]) and _params(loaded).flags.writeable
     save_model(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory):
+    """A grid, a linear and a deep-set model file's JSON documents with their
+    parameter bytes, and a scratch path to write damaged copies to."""
+    rng = np.random.default_rng(11)
+    models = [
+        _uniform_grid_model(rng),
+        LinearAggModel.initialised(rng, LinearSettings(hidden=(8,))),
+        DeepSetModel.initialised(rng, DeepSetSettings(embed_dim=4, phi_hidden=(8,), decoder_hidden=(8,))),
+    ]
+    scratch = tmp_path_factory.mktemp("model_fuzz") / "model.json"
+    docs = []
+    for model in models:
+        model.metadata.update(trained_on=["a", "b"], fitted_from={"name": "a", "altitudes": [0.3, 1.3]})
+        save_model(model, scratch)
+        docs.append((json.loads(scratch.read_text(encoding="utf-8")), _params(model).tobytes()))
+    return docs, scratch
+
+
+@json_swap_fuzz
+def test_model_file_with_a_value_swapped_loads_the_same_or_is_format_error(model_docs, value):
+    """At every key path of each model file, ``value`` in place of the
+    original or the key deleted: the file loads the same parameters, or it is
+    a FormatError naming it."""
+    docs, path = model_docs
+    for doc, params in docs:
+        for key_path, swapped in json_swaps(doc, value):
+            path.write_text(json.dumps(swapped), encoding="utf-8")
+            try:
+                loaded = load_model(path)
+            except FormatError as exc:
+                assert str(path) in str(exc), (key_path, str(exc))
+            else:
+                assert _params(loaded).tobytes() == params, key_path
 
 
 def test_load_model_rejects_garbage(tmp_path):
