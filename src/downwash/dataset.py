@@ -8,22 +8,21 @@ whole by :func:`write_atomic`, so no reader sees a partial file.
 A dataset holds n samples sharing one neighbour count K as arrays: ``time``
 (n,), ``states`` (n, K+1, 7) with the sufferer first (see
 :mod:`downwash.core`), the ground-truth wrenches ``truth`` (n, 6) and the
-noisy measurements ``measured`` (n, 6).  It is written as a UTF-8 CSV with
-``#``-prefixed header records (format version plus metadata key-values) and
-a JSON sidecar of the same basename holding the metadata, the data-row
-count and the sha256 of the CSV file.  Loading requires the sidecar and
-checks both, so a file cut at a row boundary or edited after it was written
-is refused.  All numbers use Python's shortest round-trip decimal repr, so a
-load/save cycle is byte-identical.
+noisy measurements ``measured`` (n, 6).  It is written as a UTF-8 CSV of
+just the column row and the data rows, and a JSON sidecar of the same
+basename that alone holds the format, its version, the metadata, the row
+count and a sha256 over the metadata and the CSV.  Loading checks each, so
+a file cut at a row boundary, a CSV or metadata edited after it was
+written, or an older format is refused.  All numbers use Python's shortest
+round-trip decimal repr, so a load/save cycle is byte-identical.
 
 Every table of numbers (a dataset's rows, the slice and contour reports,
 the loss histories) is encoded whole by :func:`encode_table`: each column's
 distinct values go through ``repr`` once and one ``%`` format of a row
 template writes every row, and the text is still exactly what
 ``csv.writer`` writes with ``repr`` cells.  :func:`load_dataset` splits the
-text on ``\\r\\n`` and each row on commas instead of running ``csv.reader``,
-so rows ended by a bare ``\\n`` or quoted cells, which ``save_dataset``
-never writes, are refused.
+bytes on ``\\r\\n`` and each row on commas instead of running
+``csv.reader``, and refuses a row byte that ``save_dataset`` never writes.
 """
 
 from __future__ import annotations
@@ -40,9 +39,10 @@ import numpy as np
 
 from .core import MIN_SEPARATION, WRENCH_AXES, separations
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _STATE_FIELDS = ("pos_n", "pos_e", "pos_d", "vel_n", "vel_e", "vel_d", "yaw")
+_ROW_BYTES = b"0123456789.e+-,"  # every byte of a data row but its "\r\n"
 
 
 class FormatError(ValueError):
@@ -157,97 +157,104 @@ def _check_rows(table: np.ndarray, states: np.ndarray) -> None:
         raise ValueError(f"data row {int(np.argmax(bad)) + 1}: {fault}")
 
 
+def _digest(metadata, blob: bytes) -> str:
+    """The sidecar's sha256: ``metadata`` as sorted-key compact JSON, ``\\n``, the CSV ``blob``."""
+    digest = hashlib.sha256(json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
+    digest.update(blob)
+    return digest.hexdigest()
+
+
 def save_dataset(data: Dataset, csv_path) -> None:
     """Write the CSV file through :func:`write_atomic`, then its JSON sidecar
     through :func:`write_json`.  A dataset that :func:`load_dataset` would
     refuse for its values raises ValueError before anything is written.
 
-    The ``#`` header records come first.  The column row and the data rows
-    are one :func:`encode_table` of the columns ``time``, the flattened
-    ``states`` with ``k`` as an int64 column at position 8, ``truth`` and
-    ``measured``, so each row is float ``repr`` cells and the integer ``k``.
+    The CSV is one :func:`encode_table` of the columns ``time``, the
+    flattened ``states`` with ``k`` as an int64 column at position 8,
+    ``truth`` and ``measured``.  The sidecar holds ``format``, ``version``,
+    ``metadata``, ``rows`` and the ``sha256`` of :func:`_digest`.
     """
     n = len(data)
     table = np.concatenate([data.time[:, None], data.states.reshape(n, -1), data.truth, data.measured], axis=1)
     _check_rows(table, data.states)
     columns = list(table.T)
     columns.insert(8, np.full(n, data.k))
-    records = [f"# downwash-dataset version={FORMAT_VERSION}\n"]
-    records += [f"# {key}={json.dumps(data.metadata[key], sort_keys=True)}\n" for key in sorted(data.metadata)]
-    body = "".join(records).encode("utf-8") + encode_table(_columns(data.k), columns)
+    body = encode_table(_columns(data.k), columns)
+    doc = {"format": "downwash-dataset", "version": FORMAT_VERSION, "metadata": data.metadata, "rows": n}
+    doc["sha256"] = _digest(data.metadata, body)
     write_atomic(csv_path, body)
-    doc = {
-        "format": "downwash-dataset",
-        "version": FORMAT_VERSION,
-        "metadata": data.metadata,
-        "rows": n,
-        "sha256": hashlib.sha256(body).hexdigest(),
-    }
     write_json(sidecar_path(csv_path), doc, indent=2)
 
 
 def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    The text is split into rows on ``\\r\\n`` and each row on commas, and
-    every cell is parsed with ``float``; no ``csv.reader`` runs.  A file
-    that only ``csv.reader`` would accept (rows ended by a bare ``\\n``, a
-    quoted cell) is refused, as its digest no longer matches anyway.
+    The first line is the column row; the rest is split into rows on
+    ``\\r\\n`` and each row on commas, and every cell is parsed with
+    ``float``.  A row byte other than a digit, ``.``, ``e``, ``+``, ``-`` or
+    ``,`` (a bare ``\\n``, a quote, a space, ``_``, non-UTF-8) is refused.
 
     Raises :class:`FormatError` naming the file (and the data row, where
-    there is one) for a missing or broken sidecar (a missing key, ``rows``
-    not a plain int, or JSON nested too deep to parse included), a row that
-    does not parse, a non-finite cell, a
-    neighbour coinciding with the sufferer, no data rows, or a row count or
-    digest that disagrees with the sidecar.
+    there is one) for a missing or broken sidecar (a missing key, another
+    ``format``, a ``version`` other than the plain int :data:`FORMAT_VERSION`,
+    ``rows`` not a plain int, JSON nested too deep to parse or digest), a
+    row that does not parse, a non-finite cell, a neighbour coinciding with
+    the sufferer, a stray byte, no data rows, or a row count or digest
+    (over the metadata and the CSV) that disagrees with the sidecar.
     """
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
     if not side.exists():
         raise FormatError(f"{csv_path}: sidecar {side} is missing")
+    blob = csv_path.read_bytes()
     with open(side, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-            metadata, rows, digest = doc["metadata"], doc["rows"], doc["sha256"]
+            if (doc["format"], type(doc["version"]), doc["version"]) != ("downwash-dataset", int, FORMAT_VERSION):
+                raise ValueError(f"format {doc['format']!r} version {doc['version']!r} is not 'downwash-dataset'"
+                                 f" version {FORMAT_VERSION}; re-run 'downwash gen' to rewrite the datasets")
+            metadata, rows = doc["metadata"], doc["rows"]
             if type(rows) is not int:
                 raise ValueError(f"rows {rows!r} is not a plain integer")
+            sealed = _digest(metadata, blob) == doc["sha256"]
         except KeyError as exc:
             raise FormatError(f"{side}: missing key {exc}") from None
         except (RecursionError, TypeError, ValueError) as exc:
             raise FormatError(f"{side}: {exc}") from None
-    blob = csv_path.read_bytes()
-    # A bad byte decodes to U+FFFD, which no numeric cell parses, so it is
-    # reported by row below instead of escaping as a UnicodeDecodeError.
-    head, *lines = blob.decode("utf-8", errors="replace").split("\r\n")
-    if lines[-1:] == [""]:  # the "\r\n" that ends the last row
+    head, _, body = blob.partition(b"\r\n")
+    lines = body.split(b"\r\n")
+    if lines[-1:] == [b""]:  # the "\r\n" that ends the last row
         lines.pop()
-    # the "#" header records end in "\n" and precede the column row
-    header = head.rpartition("\n")[2].split(",")
-    k = max(len(header) - len(_columns(0)), 0) // 7
-    if header != _columns(k):
+    width = head.count(b",") + 1
+    k = max(width - len(_columns(0)), 0) // 7
+    if head != ",".join(_columns(k)).encode("utf-8"):
         raise FormatError(f"{csv_path}: the column header does not match the dataset format")
     values = []
     for row, line in enumerate(lines, start=1):
-        cells = line.split(",")
+        cells = line.split(b",")
         try:
             if int(cells[8]) != k:
-                raise ValueError(f"k={cells[8]}, but all rows of a dataset must share one K ({k})")
-            if len(cells) != len(header):
-                raise ValueError(f"{len(cells)} cells for k={k}, header has {len(header)}")
+                raise ValueError(f"k={int(cells[8])}, but all rows of a dataset must share one K ({k})")
+            if len(cells) != width:
+                raise ValueError(f"{len(cells)} cells for k={k}, header has {width}")
             values += map(float, cells)
         except (IndexError, ValueError) as exc:
             raise FormatError(f"{csv_path}: data row {row}: {exc}") from None
-    values = np.array(values).reshape(-1, len(header))
+    values = np.array(values).reshape(-1, width)
     states = np.concatenate([values[:, 1:8], values[:, 9 : 9 + 7 * k]], axis=1).reshape(-1, k + 1, 7)
     try:
         _check_rows(values, states)
     except ValueError as exc:
         raise FormatError(f"{csv_path}: {exc}") from None
+    if body.translate(None, _ROW_BYTES).replace(b"\r\n", b""):  # float and int take " 1", "1_0" and "1\n"
+        stray = [line.translate(None, _ROW_BYTES) for line in lines]
+        row = next(row for row, left in enumerate(stray, start=1) if left)
+        raise FormatError(f"{csv_path}: data row {row}: byte {stray[row - 1][:1]!r} is no part of a number")
     if not values.size:
         raise FormatError(f"{csv_path}: no data rows")
     if len(values) != rows:
         raise FormatError(f"{csv_path}: {len(values)} data rows, the sidecar says {rows}")
-    if hashlib.sha256(blob).hexdigest() != digest:
+    if not sealed:
         raise FormatError(f"{csv_path}: content does not match the sha256 in {side}")
     wrenches = values[:, 9 + 7 * k :]
     return Dataset(values[:, 0], states, wrenches[:, :6], wrenches[:, 6:], metadata)

@@ -314,30 +314,21 @@ def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
     bounds = [(-half, half), (-half, half), (-alts[-1] - step / 2.0, -alts[0] + step / 2.0)]
 
     shape = (int(resolution[0]), int(resolution[1]), len(alts))
+    lo, hi = np.array(bounds).T
+    cell = (hi - lo) / shape
     dpos = data.states[:, 1, :3] - data.states[:, 0, :3]
-    sums = np.zeros(shape + (6,))
-    counts = np.zeros(shape, dtype=np.int64)
-    idx = []
-    inside = np.ones(len(dpos), dtype=bool)
-    for ax in range(3):
-        lo, hi = bounds[ax]
-        h = (hi - lo) / shape[ax]
-        i = np.floor((dpos[:, ax] - lo) / h).astype(np.int64)
-        i = np.clip(i, 0, shape[ax] - 1)
-        inside &= (dpos[:, ax] >= lo) & (dpos[:, ax] <= hi)
-        idx.append(i)
-    np.add.at(counts, (idx[0][inside], idx[1][inside], idx[2][inside]), 1)
-    np.add.at(sums, (idx[0][inside], idx[1][inside], idx[2][inside]), data.measured[inside])
-
-    values = np.zeros_like(sums)
-    filled = counts > 0
-    values[filled] = sums[filled] / counts[filled][:, None]
+    inside = ((dpos >= lo) & (dpos <= hi)).all(axis=1)
+    if not inside.any():
+        raise ValueError("no samples fall inside the grid bounds")
+    idx = np.clip(np.floor((dpos[inside] - lo) / cell).astype(np.int64), 0, np.array(shape) - 1)
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))[:, None]
+    sums = np.stack([np.bincount(flat, w, len(counts)) for w in data.measured[inside].T], axis=1)
+    values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0).reshape(shape + (6,))
+    filled = counts.reshape(shape) > 0
     if not filled.all():
-        if not filled.any():
-            raise ValueError("no samples fall inside the grid bounds")
         from scipy import ndimage  # imported here: only grid fitting needs it
 
-        cell = [(hi - lo) / n for (lo, hi), n in zip(bounds, shape)]
         _, nearest = ndimage.distance_transform_edt(~filled, sampling=cell, return_indices=True)
         values = values[nearest[0], nearest[1], nearest[2]]
 
@@ -386,9 +377,9 @@ def load_model(path):
 def _model_from_doc(doc: dict):
     if doc.get("format") != "downwash-model":
         raise ValueError("not a downwash model file")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != MODEL_FORMAT_VERSION:
         raise ValueError(
-            f"model format version {doc.get('version')} is not {MODEL_FORMAT_VERSION};"
+            f"model format version {doc.get('version')!r} is not {MODEL_FORMAT_VERSION};"
             " re-run 'downwash train' to rewrite the model files"
         )
     kind = doc.get("kind")

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +17,14 @@ def random_states(rng: np.random.Generator, k: int) -> np.ndarray:
         row[:3] = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), -rng.uniform(0.15, 1.5)
         row[3:6] = rng.uniform(-0.8, 0.8, size=3)
     return states
+
+
+def sealed_digest(metadata, blob: bytes) -> str:
+    """The ``sha256`` a dataset sidecar holds for ``metadata`` and the CSV
+    bytes ``blob``: of the metadata as sorted-key compact JSON, one newline,
+    then the CSV."""
+    head = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(head + b"\n" + blob).hexdigest()
 
 
 @pytest.fixture

@@ -28,6 +28,8 @@ from downwash.models import (
 )
 from downwash.rng import stream
 
+from conftest import sealed_digest
+
 MINI_CFG = """
 seed: 21
 output_dir: {out}
@@ -469,6 +471,15 @@ def _version_1(doc, model):
     doc["psi"] = _v1_mlp_doc(model.encoder)
 
 
+def _version(value):
+    """An edit that sets the file's ``version`` to ``value``."""
+
+    def edit(doc, model):
+        doc["version"] = value
+
+    return edit
+
+
 def _fractional_dims(doc, model):
     # int() would read 8.5 as 8, and the payload does hold the values of [6, 8, 6]
     doc["psi"]["dims"] = [6, 8.5, 6]
@@ -521,6 +532,8 @@ REQUIRED_KEYS = [
         ("learnt_linear", _one_float_short, "bytes"),
         ("learnt_linear", _outside_the_alphabet, ""),
         ("learnt_linear", _version_1, "train"),
+        ("learnt_linear", _version(2.0), "train"),
+        ("learnt_linear", _version(True), "train"),
         ("learnt_linear", _fractional_dims, "dims"),
         ("naive_linear", _infinite_bounds, "bounds"),
         ("naive_linear", _string_and_bool_bounds, "bounds"),
@@ -531,6 +544,8 @@ REQUIRED_KEYS = [
         "one_float_short",
         "outside_the_alphabet",
         "version_1",
+        "version_2.0",
+        "version_true",
         "fractional_dims",
         "infinite_bounds",
         "string_and_bool_bounds",
@@ -584,15 +599,15 @@ def test_cli_import_loads_no_scipy():
 
 def _edit_rows(path, edit):
     """Rewrite the data rows of a dataset CSV with ``edit(rows)`` (a list of
-    cell lists), then reseal its sidecar's row count and digest, so only the
-    content check can object."""
+    cell lists), then reseal its sidecar's row count and digest (over its
+    metadata and the new CSV), so only the content check can object."""
     head, *rows = path.read_bytes().decode("utf-8").split("\r\n")[:-1]
     rows = edit([row.split(",") for row in rows])
     blob = "\r\n".join([head] + [",".join(cells) for cells in rows] + [""]).encode("utf-8")
     path.write_bytes(blob)
     side = path.with_suffix(".json")
     doc = json.loads(side.read_text(encoding="utf-8"))
-    doc.update(rows=len(rows), sha256=hashlib.sha256(blob).hexdigest())
+    doc.update(rows=len(rows), sha256=sealed_digest(doc["metadata"], blob))
     side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -627,6 +642,26 @@ def test_header_only_dataset_is_format_error(tmp_path, capsys):
     _train_fails_on_dataset(tmp_path, capsys, lambda path: _edit_rows(path, lambda rows: []), "no data rows")
 
 
+def test_version_1_dataset_asks_for_gen(tmp_path, capsys):
+    """A dataset as format version 1 wrote it: ``#`` records of the version
+    and the metadata before the column row, and a version-1 sidecar whose
+    sha256 covers only the CSV."""
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", str(cfg)]) == EXIT_OK
+    path = tmp_path / "run" / "datasets" / "single_k1.csv"
+    side = path.with_suffix(".json")
+    doc = json.loads(side.read_text(encoding="utf-8"))
+    records = ["# downwash-dataset version=1\n"]
+    records += [f"# {key}={json.dumps(doc['metadata'][key], sort_keys=True)}\n" for key in sorted(doc["metadata"])]
+    blob = "".join(records).encode("utf-8") + path.read_bytes()
+    path.write_bytes(blob)
+    doc.update(version=1, sha256=hashlib.sha256(blob).hexdigest())
+    side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert f"{side}: " in err and "version 1 is not" in err and "re-run 'downwash gen'" in err, err
+
+
 def test_dataset_without_sidecar_is_format_error(tmp_path, capsys):
     _train_fails_on_dataset(tmp_path, capsys, lambda path: path.with_suffix(".json").unlink(), "sidecar")
 
@@ -639,8 +674,25 @@ def test_dataset_without_sidecar_is_format_error(tmp_path, capsys):
         (lambda doc: doc.pop("sha256"), "missing key 'sha256'"),
         (lambda doc: doc.update(rows=float(doc["rows"])), "rows 320.0 is not a plain integer"),
         (lambda doc: doc.update(rows=True), "rows True is not a plain integer"),
+        (lambda doc: doc.pop("format"), "missing key 'format'"),
+        (lambda doc: doc.update(format="downwash-model"), "format 'downwash-model' version 2 is not"),
+        (lambda doc: doc.pop("version"), "missing key 'version'"),
+        *(
+            (lambda doc, v=v: doc.update(version=v), f"format 'downwash-dataset' version {v!r} is not")
+            for v in (99, True, 1.0, 2.0, "1", None)
+        ),
     ],
-    ids=["without_metadata", "without_rows", "without_sha256", "float_rows", "bool_rows"],
+    ids=[
+        "without_metadata",
+        "without_rows",
+        "without_sha256",
+        "float_rows",
+        "bool_rows",
+        "without_format",
+        "model_format",
+        "without_version",
+        *(f"version_{v}" for v in ("99", "true", "1.0", "2.0", "str", "null")),
+    ],
 )
 def test_malformed_dataset_sidecar_is_format_error(tmp_path, capsys, edit, message):
     cfg = _cfg(tmp_path)

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import io
 import json
 import os
@@ -7,10 +6,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from downwash.dataset import (
+    FORMAT_VERSION,
     Dataset,
     FormatError,
     _columns,
@@ -23,7 +23,7 @@ from downwash.dataset import (
 from downwash.field import DownwashParams, NoiseParams
 from downwash.formations import Formation, FormationKind, SweepConfig, generate_sweep
 
-from conftest import json_swap_fuzz, json_swaps
+from conftest import json_swap_fuzz, json_swaps, sealed_digest
 
 
 def _small_dataset():
@@ -63,9 +63,6 @@ def _csv_writer_body(data):
     """The CSV file as ``csv.writer`` writes it, one float ``repr`` per cell:
     the reference the joined-row encoder of ``save_dataset`` must match."""
     fh = io.StringIO(newline="")
-    fh.write("# downwash-dataset version=1\n")
-    for key in sorted(data.metadata):
-        fh.write(f"# {key}={json.dumps(data.metadata[key], sort_keys=True)}\n")
     writer = csv.writer(fh)
     writer.writerow(_columns(data.k))
     states = data.states.reshape(len(data), -1)
@@ -133,17 +130,22 @@ def test_mixed_k_rejected(tmp_path):
 
 
 def test_header_carries_version_and_metadata(tmp_path):
+    """The CSV starts with its column row; the format, its version and the
+    metadata live only in the sidecar."""
     data = _small_dataset()
     path = tmp_path / "d.csv"
     save_dataset(data, path)
-    text = path.read_text(encoding="utf-8")
-    assert text.startswith("# downwash-dataset version=1\n")
-    assert "# oracle=" in text
-    header = [line for line in text.splitlines() if not line.startswith("#")][0]
-    cols = header.split(",")
+    text = path.read_bytes().decode("utf-8")
+    cols = text[: text.index("\r\n")].split(",")
+    assert cols == _columns(2)
     assert cols[0] == "time"
     assert cols[8] == "k"
     assert cols.count("gt_f_d") == 1 and cols.count("meas_t_yaw") == 1
+    assert "#" not in text and "oracle" not in text
+    doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+    assert doc["format"] == "downwash-dataset"
+    assert doc["version"] == FORMAT_VERSION == 2
+    assert doc["metadata"] == data.metadata and doc["metadata"]["oracle"] == "merging"
 
 
 def test_non_utf8_byte_is_format_error(tmp_path):
@@ -289,19 +291,18 @@ def _flip(blob, at, mask):
 
 def _nth(blob, sep, n):
     """The offset of occurrence ``n`` (modulo their count) of ``sep`` in
-    ``blob`` from the column row on, past the ``#`` header records."""
-    column_row = blob.rindex(b"\n", 0, blob.index(b"\r\n")) + 1
-    starts = [i for i in range(column_row, len(blob)) if blob.startswith(sep, i)]
+    ``blob``, whose first line is the column row."""
+    starts = [i for i in range(len(blob)) if blob.startswith(sep, i)]
     return starts[n % len(starts)]
 
 
 def _lf_endings(blob, n):
-    """The ``\\r\\n`` ending row ``n`` (modulo the rows but the last, whose
-    bare ``\\n`` would be whitespace to ``float``) or, for n < 0, every
-    ``\\r\\n`` made a bare ``\\n``."""
+    """The ``\\r\\n`` ending row ``n`` (modulo the rows, the column row and
+    the last row included) or, for n < 0, every ``\\r\\n`` made a bare
+    ``\\n``."""
     if n < 0:
         return blob.replace(b"\r\n", b"\n")
-    at = _nth(blob[: blob.rindex(b"\r\n")], b"\r\n", n)
+    at = _nth(blob, b"\r\n", n)
     return blob[:at] + blob[at + 1 :]
 
 
@@ -318,12 +319,28 @@ def _comma(blob, n, extra):
     return blob[:at] + (b",," if extra else b"") + blob[at + 1 :]
 
 
+def _spaced_cell(blob, n):
+    """A space before the cell after comma ``n``: ``float`` reads `` 1.5``."""
+    at = _nth(blob, b",", n) + 1
+    return blob[:at] + b" " + blob[at:]
+
+
+def _underscored(blob, n):
+    """An ``_`` between the two digits of occurrence ``n`` of a digit pair:
+    ``float`` reads ``1_0`` as 10.0."""
+    starts = [m.start() + 1 for m in re.finditer(rb"\d(?=\d)", blob)]
+    at = starts[n % len(starts)]
+    return blob[:at] + b"_" + blob[at:]
+
+
 _truncations = st.integers(0, 10**6).map(lambda at: lambda blob: blob[: at % (len(blob) + 1)])
 _flips = st.tuples(st.integers(0, 10**6), st.integers(1, 255)).map(lambda a: lambda blob: _flip(blob, *a))
 _csv_syntax = st.one_of(
     st.integers(-1, 10**3).map(lambda n: lambda blob: _lf_endings(blob, n)),
     st.integers(0, 10**3).map(lambda n: lambda blob: _quoted_cell(blob, n)),
     st.tuples(st.integers(0, 10**3), st.booleans()).map(lambda a: lambda blob: _comma(blob, *a)),
+    st.integers(0, 10**3).map(lambda n: lambda blob: _spaced_cell(blob, n)),
+    st.integers(0, 10**3).map(lambda n: lambda blob: _underscored(blob, n)),
 )
 
 
@@ -352,15 +369,37 @@ def test_sidecar_with_a_value_swapped_loads_the_same_or_is_format_error(scratch,
 
 @FUZZ
 @given(_csv_syntax)
+@example(lambda blob: blob[:-2] + b"\n")  # the last row ended by a bare "\n"
+@example(lambda blob: _spaced_cell(blob, 40))  # " 1.5"
+@example(lambda blob: _underscored(blob, 0))  # "1_0"
 def test_only_csv_reader_syntax_is_format_error_under_a_matching_digest(scratch, saved, damage):
-    """Bare-LF row ends, quoted cells and a comma too many or too few are
-    refused by the parser itself, not only by the digest."""
+    """Bare-LF row ends (the last row's included), quoted cells, a comma too
+    many or too few, a space before a cell and an ``_`` between digits are
+    refused by the reader itself, not only by the digest."""
     blob, side, _ = saved
     damaged = damage(blob)
     doc = json.loads(side)
-    doc["sha256"] = hashlib.sha256(damaged).hexdigest()
+    doc["sha256"] = sealed_digest(doc["metadata"], damaged)
     path = scratch / "resealed.csv"
     path.write_bytes(damaged)
     sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(str(path))):
         load_dataset(path)
+
+
+def test_sidecar_digest_covers_the_metadata(scratch, saved):
+    """An edited ``metadata`` without a resealed ``sha256`` is refused; with
+    the digest resealed over the new metadata it loads."""
+    blob, side, original = saved
+    doc = json.loads(side)
+    doc["metadata"]["seed"] += 1
+    path = scratch / "metadata.csv"
+    path.write_bytes(blob)
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: content does not match the sha256"):
+        load_dataset(path)
+    doc["sha256"] = sealed_digest(doc["metadata"], blob)
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_dataset(path)
+    assert _same_arrays(loaded, original) and loaded.metadata == doc["metadata"]
+

@@ -218,6 +218,56 @@ def test_grid_query_is_bitwise_the_fancy_index_formulation(rng, shape):
     assert 0 < inside.sum() < inside.size
 
 
+def _add_at_grid_values(data, bounds, shape):
+    """The fitted table as per-axis binning, ``np.add.at`` scatters and
+    per-cell means build it, with empty cells filled from the nearest filled
+    one: the reference ``fit_grid`` must match bitwise."""
+    from scipy import ndimage
+
+    dpos = data.states[:, 1, :3] - data.states[:, 0, :3]
+    sums = np.zeros(shape + (6,))
+    counts = np.zeros(shape, dtype=np.int64)
+    idx, inside = [], np.ones(len(dpos), dtype=bool)
+    for ax in range(3):
+        lo, hi = bounds[ax]
+        h = (hi - lo) / shape[ax]
+        idx.append(np.clip(np.floor((dpos[:, ax] - lo) / h).astype(np.int64), 0, shape[ax] - 1))
+        inside &= (dpos[:, ax] >= lo) & (dpos[:, ax] <= hi)
+    cells = tuple(i[inside] for i in idx)
+    np.add.at(counts, cells, 1)
+    np.add.at(sums, cells, data.measured[inside])
+    values = np.zeros_like(sums)
+    filled = counts > 0
+    values[filled] = sums[filled] / counts[filled][:, None]
+    sampling = [(hi - lo) / n for (lo, hi), n in zip(bounds, shape)]
+    _, nearest = ndimage.distance_transform_edt(~filled, sampling=sampling, return_indices=True)
+    return values[nearest[0], nearest[1], nearest[2]], counts
+
+
+@pytest.mark.parametrize(
+    "resolution, altitudes, n",
+    [((16, 20), (0.3, 1.3), 300), ((4, 5), (0.5,), 40), ((7, 3), (0.3, 0.8, 1.3), 80)],
+)
+def test_fit_grid_is_bitwise_the_add_at_binning(rng, resolution, altitudes, n):
+    """Random K=1 samples inside the bounds, exactly on them and outside, with
+    several samples in some cells and none in others."""
+    sweep = SweepConfig(altitudes=altitudes)
+    probe = fit_grid(_k1_arrays([0.0, 0.0, -altitudes[0]], [np.zeros(6)]), sweep, resolution)
+    lo, hi = np.array(probe.bounds).T
+    dpos = rng.uniform(lo, hi, (n, 3))
+    dpos[: n // 10] = np.array(probe.bounds)[np.arange(3), rng.integers(0, 2, (n // 10, 3))]  # on the bounds
+    dpos[n // 10 : n // 5] = rng.uniform(lo - 0.5, hi + 0.5, (n // 10, 3))  # inside and outside
+    dpos[n // 5 : n // 4] = dpos[n // 4 : n // 4 + n // 20]  # shared cells
+    data = _k1_arrays(dpos, rng.normal(size=(n, 6)))
+    model = fit_grid(data, sweep, resolution)
+    shape = tuple(resolution) + (len(altitudes),)
+    expected, counts = _add_at_grid_values(data, probe.bounds, shape)
+    assert model.bounds == probe.bounds and model.values.shape == shape + (6,)
+    assert model.values.tobytes() == expected.tobytes()
+    inside = ((dpos >= lo) & (dpos <= hi)).all(axis=1)
+    assert 0 < inside.sum() < n and counts.max() > 1 and (counts == 0).any()
+
+
 def test_grid_query_outside_bounds_is_zero(rng):
     model = _uniform_grid_model(rng)
     np.testing.assert_array_equal(model.query([1.2, 0.0, -0.5]), np.zeros(6))
