@@ -9,9 +9,10 @@ A dataset holds n samples sharing one neighbour count K as arrays: ``time``
 (n,), ``states`` (n, K+1, 7) with the sufferer first (see
 :mod:`downwash.core`), the ground-truth wrenches ``truth`` (n, 6) and the
 noisy measurements ``measured`` (n, 6).  It is written as a UTF-8 CSV of
-just the column row and the data rows, and a JSON sidecar of the same
-basename that alone holds the format, its version, the metadata, the row
-count and a sha256 over the metadata and the CSV.  Loading checks each, so
+the column row and the (n, 20 + 7K) table of those arrays side by side, so
+the column row alone states K, and a JSON sidecar of the same basename that
+alone holds the format, its version, the metadata, the row count and a
+sha256 over the metadata and the CSV.  Loading checks each, so
 a file cut at a row boundary, a CSV or metadata edited after it was
 written, or an older format is refused.  All numbers use Python's shortest
 round-trip decimal repr, so a load/save cycle is byte-identical.
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core import MIN_SEPARATION, WRENCH_AXES, separations
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _STATE_FIELDS = ("pos_n", "pos_e", "pos_d", "vel_n", "vel_e", "vel_d", "yaw")
 _ROW_BYTES = b"0123456789.e+-,"  # every byte of a data row but its "\r\n"
@@ -81,12 +82,12 @@ def encode_table(header, columns) -> bytes:
     per row its cells, each line joined by commas and ended by ``\\r\\n``.
 
     ``columns`` are equal-length 1-D float64 or int64 arrays, one per name;
-    a cell is the ``repr`` of its value, so an int64 cell reads ``3``.  Each
-    column's distinct bit patterns go through ``repr`` once (``-0.0`` and
-    ``0.0`` stay apart), and one ``%`` format of the row template writes
-    every row.  Header names must be non-empty and need no quoting.  A
-    number's ``repr`` never needs it, so the text is the bytes
-    ``csv.writer`` writes for these rows."""
+    a cell is the ``repr`` of its value, so an int64 cell (a loss history's
+    ``epoch``) reads ``3``.  Each column's distinct bit patterns go through
+    ``repr`` once (``-0.0`` and ``0.0`` stay apart), and one ``%`` format of
+    the row template writes every row.  Header names must be non-empty and
+    need no quoting.  A number's ``repr`` never needs it, so the text is the
+    bytes ``csv.writer`` writes for these rows."""
     if any(not name or set(name) & set(',"\r\n') for name in header):
         raise ValueError(f"header {header!r} holds a name that csv.writer would quote")
     n = len(columns[0])
@@ -132,7 +133,6 @@ class Dataset:
 def _columns(k: int) -> list:
     cols = ["time"]
     cols += [f"suf_{f}" for f in _STATE_FIELDS]
-    cols += ["k"]
     for i in range(k):
         cols += [f"nb{i}_{f}" for f in _STATE_FIELDS]
     cols += [f"gt_{f}" for f in WRENCH_AXES]
@@ -169,17 +169,16 @@ def save_dataset(data: Dataset, csv_path) -> None:
     through :func:`write_json`.  A dataset that :func:`load_dataset` would
     refuse for its values raises ValueError before anything is written.
 
-    The CSV is one :func:`encode_table` of the columns ``time``, the
-    flattened ``states`` with ``k`` as an int64 column at position 8,
-    ``truth`` and ``measured``.  The sidecar holds ``format``, ``version``,
-    ``metadata``, ``rows`` and the ``sha256`` of :func:`_digest`.
+    The CSV is one :func:`encode_table` of the float64 columns ``time``,
+    the flattened ``states`` (sufferer, then each neighbour), ``truth`` and
+    ``measured``; the column row's width is the only place K is written.
+    The sidecar holds ``format``, ``version``, ``metadata``, ``rows`` and
+    the ``sha256`` of :func:`_digest`.
     """
     n = len(data)
     table = np.concatenate([data.time[:, None], data.states.reshape(n, -1), data.truth, data.measured], axis=1)
     _check_rows(table, data.states)
-    columns = list(table.T)
-    columns.insert(8, np.full(n, data.k))
-    body = encode_table(_columns(data.k), columns)
+    body = encode_table(_columns(data.k), list(table.T))
     doc = {"format": "downwash-dataset", "version": FORMAT_VERSION, "metadata": data.metadata, "rows": n}
     doc["sha256"] = _digest(data.metadata, body)
     write_atomic(csv_path, body)
@@ -189,16 +188,18 @@ def save_dataset(data: Dataset, csv_path) -> None:
 def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    The first line is the column row; the rest is split into rows on
-    ``\\r\\n`` and each row on commas, and every cell is parsed with
-    ``float``.  A row byte other than a digit, ``.``, ``e``, ``+``, ``-`` or
-    ``,`` (a bare ``\\n``, a quote, a space, ``_``, non-UTF-8) is refused.
+    The first line is the column row, whose width gives K; the rest is
+    split into rows on ``\\r\\n`` and each row on commas, every cell is
+    parsed with ``float``, and the arrays are slices of that one table.  A
+    row byte other than a digit, ``.``, ``e``, ``+``, ``-`` or ``,`` (a bare
+    ``\\n``, a quote, a space, ``_``, non-UTF-8) is refused.
 
     Raises :class:`FormatError` naming the file (and the data row, where
     there is one) for a missing or broken sidecar (a missing key, another
     ``format``, a ``version`` other than the plain int :data:`FORMAT_VERSION`,
     ``rows`` not a plain int, JSON nested too deep to parse or digest), a
-    row that does not parse, a non-finite cell, a neighbour coinciding with
+    row that does not parse or whose width is not the column row's (as a
+    row of another K is), a non-finite cell, a neighbour coinciding with
     the sufferer, a stray byte, no data rows, or a row count or digest
     (over the metadata and the CSV) that disagrees with the sidecar.
     """
@@ -233,15 +234,13 @@ def load_dataset(csv_path) -> Dataset:
     for row, line in enumerate(lines, start=1):
         cells = line.split(b",")
         try:
-            if int(cells[8]) != k:
-                raise ValueError(f"k={int(cells[8])}, but all rows of a dataset must share one K ({k})")
             if len(cells) != width:
                 raise ValueError(f"{len(cells)} cells for k={k}, header has {width}")
             values += map(float, cells)
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{csv_path}: data row {row}: {exc}") from None
     values = np.array(values).reshape(-1, width)
-    states = np.concatenate([values[:, 1:8], values[:, 9 : 9 + 7 * k]], axis=1).reshape(-1, k + 1, 7)
+    states = values[:, 1:-12].reshape(-1, k + 1, 7)
     try:
         _check_rows(values, states)
     except ValueError as exc:
@@ -256,5 +255,4 @@ def load_dataset(csv_path) -> Dataset:
         raise FormatError(f"{csv_path}: {len(values)} data rows, the sidecar says {rows}")
     if not sealed:
         raise FormatError(f"{csv_path}: content does not match the sha256 in {side}")
-    wrenches = values[:, 9 + 7 * k :]
-    return Dataset(values[:, 0], states, wrenches[:, :6], wrenches[:, 6:], metadata)
+    return Dataset(values[:, 0], states, values[:, -12:-6], values[:, -6:], metadata)

@@ -14,6 +14,7 @@ import downwash
 from downwash import cli
 from downwash.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 from downwash.config import altitude_tag, load_config
+from downwash.dataset import FORMAT_VERSION, _columns
 from downwash.evaluate import EvalReport, SliceProfile, benchmark, contour_to_csv
 from downwash.field import make_oracle
 from downwash.formations import centroid_features, midpoints
@@ -379,16 +380,16 @@ def _cut_last_row(path, keep_cells):
     path.write_bytes(blob[:start] + b",".join(cells[:keep_cells] + [cells[keep_cells][:3]]))
 
 
-# single_k1 rows: time, 7 sufferer cells, k, 7 neighbour cells, 6 truth and 6 measured cells.
-@pytest.mark.parametrize("keep_cells", [11, 24], ids=["inside_state", "inside_wrench"])
-def test_truncated_dataset_is_format_error(tmp_path, capsys, keep_cells):
+@pytest.mark.parametrize("column", ["nb0_pos_d", "meas_f_d"], ids=["inside_state", "inside_wrench"])
+def test_truncated_dataset_is_format_error(tmp_path, capsys, column):
     cfg = _cfg(tmp_path)
     assert main(["gen", "--config", str(cfg)]) == EXIT_OK
     path = tmp_path / "run" / "datasets" / "single_k1.csv"
+    keep_cells = _columns(1).index(column)
     _cut_last_row(path, keep_cells)
     assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
     err = capsys.readouterr().err
-    assert f"{path}: data row 320: {keep_cells + 1} cells for k=1, header has 28" in err, err
+    assert f"{path}: data row 320: {keep_cells + 1} cells for k=1, header has {len(_columns(1))}" in err, err
 
 
 def test_truncated_model_is_format_error(tmp_path, capsys):
@@ -642,24 +643,48 @@ def test_header_only_dataset_is_format_error(tmp_path, capsys):
     _train_fails_on_dataset(tmp_path, capsys, lambda path: _edit_rows(path, lambda rows: []), "no data rows")
 
 
-def test_version_1_dataset_asks_for_gen(tmp_path, capsys):
-    """A dataset as format version 1 wrote it: ``#`` records of the version
-    and the metadata before the column row, and a version-1 sidecar whose
-    sha256 covers only the CSV."""
+def _with_k_column(blob):
+    """The CSV ``blob`` (K=1) with the int ``k`` cell that format versions 1
+    and 2 wrote after the sufferer's state, in the column row and every row."""
+    lines = blob.split(b"\r\n")
+    at = _columns(1).index("nb0_pos_n")
+    for i, line in enumerate(lines[:-1]):
+        cells = line.split(b",")
+        lines[i] = b",".join(cells[:at] + [b"k" if i == 0 else b"1"] + cells[at:])
+    return b"\r\n".join(lines)
+
+
+def _version_1_dataset(blob, doc):
+    """``#`` records of the version and the metadata before the column row,
+    and a version-1 sidecar whose sha256 covers only the CSV."""
+    records = ["# downwash-dataset version=1\n"]
+    records += [f"# {key}={json.dumps(doc['metadata'][key], sort_keys=True)}\n" for key in sorted(doc["metadata"])]
+    blob = "".join(records).encode("utf-8") + _with_k_column(blob)
+    doc.update(version=1, sha256=hashlib.sha256(blob).hexdigest())
+    return blob
+
+
+def _version_2_dataset(blob, doc):
+    """Just the column row and the rows, each with its ``k`` cell, and a
+    version-2 sidecar resealed over the metadata and that CSV."""
+    blob = _with_k_column(blob)
+    doc.update(version=2, sha256=sealed_digest(doc["metadata"], blob))
+    return blob
+
+
+@pytest.mark.parametrize("old", [_version_1_dataset, _version_2_dataset], ids=["version_1", "version_2"])
+def test_older_dataset_version_asks_for_gen(tmp_path, capsys, old):
+    """A dataset as an older format version wrote it."""
     cfg = _cfg(tmp_path)
     assert main(["gen", "--config", str(cfg)]) == EXIT_OK
     path = tmp_path / "run" / "datasets" / "single_k1.csv"
     side = path.with_suffix(".json")
     doc = json.loads(side.read_text(encoding="utf-8"))
-    records = ["# downwash-dataset version=1\n"]
-    records += [f"# {key}={json.dumps(doc['metadata'][key], sort_keys=True)}\n" for key in sorted(doc["metadata"])]
-    blob = "".join(records).encode("utf-8") + path.read_bytes()
-    path.write_bytes(blob)
-    doc.update(version=1, sha256=hashlib.sha256(blob).hexdigest())
+    path.write_bytes(old(path.read_bytes(), doc))
     side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     assert main(["train", "--config", str(cfg)]) == EXIT_FORMAT
     err = capsys.readouterr().err
-    assert f"{side}: " in err and "version 1 is not" in err and "re-run 'downwash gen'" in err, err
+    assert f"{side}: " in err and f"version {doc['version']} is not" in err and "re-run 'downwash gen'" in err, err
 
 
 def test_dataset_without_sidecar_is_format_error(tmp_path, capsys):
@@ -675,7 +700,7 @@ def test_dataset_without_sidecar_is_format_error(tmp_path, capsys):
         (lambda doc: doc.update(rows=float(doc["rows"])), "rows 320.0 is not a plain integer"),
         (lambda doc: doc.update(rows=True), "rows True is not a plain integer"),
         (lambda doc: doc.pop("format"), "missing key 'format'"),
-        (lambda doc: doc.update(format="downwash-model"), "format 'downwash-model' version 2 is not"),
+        (lambda doc: doc.update(format="downwash-model"), f"format 'downwash-model' version {FORMAT_VERSION} is not"),
         (lambda doc: doc.pop("version"), "missing key 'version'"),
         *(
             (lambda doc, v=v: doc.update(version=v), f"format 'downwash-dataset' version {v!r} is not")
@@ -742,7 +767,7 @@ def test_gen_refuses_a_dataset_that_train_would_refuse(tmp_path, capsys, text, o
 
 def test_nan_dataset_cell_is_format_error(tmp_path, capsys):
     def nan_cell(rows):
-        rows[6][20] = "nan"  # a truth cell of data row 7
+        rows[6][_columns(1).index("gt_t_roll")] = "nan"  # a truth cell of data row 7
         return rows
 
     _train_fails_on_dataset(tmp_path, capsys, lambda path: _edit_rows(path, nan_cell), "data row 7: non-finite")
@@ -750,7 +775,8 @@ def test_nan_dataset_cell_is_format_error(tmp_path, capsys):
 
 def test_neighbour_on_the_sufferer_is_format_error(tmp_path, capsys):
     def coincide(rows):
-        rows[2][9:12] = rows[2][1:4]  # neighbour position := sufferer position in data row 3
+        nb, suf = _columns(1).index("nb0_pos_n"), _columns(1).index("suf_pos_n")
+        rows[2][nb : nb + 3] = rows[2][suf : suf + 3]  # neighbour position := sufferer position in data row 3
         return rows
 
     _train_fails_on_dataset(

@@ -69,8 +69,7 @@ def _csv_writer_body(data):
     for t, state, truth, measured in zip(
         data.time.tolist(), states.tolist(), data.truth.tolist(), data.measured.tolist()
     ):
-        cells = [repr(v) for v in [t, *state, *truth, *measured]]
-        writer.writerow(cells[:8] + [str(data.k)] + cells[8:])
+        writer.writerow([repr(v) for v in [t, *state, *truth, *measured]])
     return fh.getvalue().encode("utf-8")
 
 
@@ -122,10 +121,11 @@ def test_mixed_k_rejected(tmp_path):
     save_dataset(_small_dataset(), path)
     lines = path.read_bytes().decode("utf-8").split("\r\n")
     cells = lines[-2].split(",")
-    cells[8] = "1"  # a K=1 row in a K=2 file
+    at = _columns(2).index("gt_f_n")
+    cells[at:at] = cells[at - 7 : at]  # a K=3 row, its last neighbour twice, in a K=2 file
     lines[-2] = ",".join(cells)
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
-    with pytest.raises(FormatError, match="share one K"):
+    with pytest.raises(FormatError, match=re.escape(f"{path}: data row 12: 41 cells for k=2, header has 34")):
         load_dataset(path)
 
 
@@ -138,13 +138,18 @@ def test_header_carries_version_and_metadata(tmp_path):
     text = path.read_bytes().decode("utf-8")
     cols = text[: text.index("\r\n")].split(",")
     assert cols == _columns(2)
-    assert cols[0] == "time"
-    assert cols[8] == "k"
-    assert cols.count("gt_f_d") == 1 and cols.count("meas_t_yaw") == 1
+    # the names benchmarks/workloads.py reads, in the column order of the arrays
+    assert _columns(1) == [
+        "time",
+        *("suf_pos_n", "suf_pos_e", "suf_pos_d", "suf_vel_n", "suf_vel_e", "suf_vel_d", "suf_yaw"),
+        *("nb0_pos_n", "nb0_pos_e", "nb0_pos_d", "nb0_vel_n", "nb0_vel_e", "nb0_vel_d", "nb0_yaw"),
+        *("gt_f_n", "gt_f_e", "gt_f_d", "gt_t_pitch", "gt_t_roll", "gt_t_yaw"),
+        *("meas_f_n", "meas_f_e", "meas_f_d", "meas_t_pitch", "meas_t_roll", "meas_t_yaw"),
+    ]
     assert "#" not in text and "oracle" not in text
     doc = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
     assert doc["format"] == "downwash-dataset"
-    assert doc["version"] == FORMAT_VERSION == 2
+    assert doc["version"] == FORMAT_VERSION == 3
     assert doc["metadata"] == data.metadata and doc["metadata"]["oracle"] == "merging"
 
 
