@@ -19,11 +19,12 @@ round-trip decimal repr, so a load/save cycle is byte-identical.
 
 Every table of numbers (a dataset's rows, the slice and contour reports,
 the loss histories) is encoded whole by :func:`encode_table`: each column's
-distinct values go through ``repr`` once and one ``%`` format of a row
-template writes every row, and the text is still exactly what
-``csv.writer`` writes with ``repr`` cells.  :func:`load_dataset` splits the
-bytes on ``\\r\\n`` and each row on commas instead of running
-``csv.reader``, and refuses a row byte that ``save_dataset`` never writes.
+distinct values go through ``repr`` once, the cells are joined by ``","``
+and the lines by ``"\\r\\n"``, and the text is still exactly what
+``csv.writer`` writes with ``repr`` cells.
+:func:`load_dataset` splits the bytes on ``\\r\\n`` and each row on commas
+instead of running ``csv.reader``, and refuses a row byte that
+``save_dataset`` never writes.
 """
 
 from __future__ import annotations
@@ -84,19 +85,18 @@ def encode_table(header, columns) -> bytes:
     ``columns`` are equal-length 1-D float64 or int64 arrays, one per name;
     a cell is the ``repr`` of its value, so an int64 cell (a loss history's
     ``epoch``) reads ``3``.  Each column's distinct bit patterns go through
-    ``repr`` once (``-0.0`` and ``0.0`` stay apart), and one ``%`` format of
-    the row template writes every row.  Header names must be non-empty and
-    need no quoting.  A number's ``repr`` never needs it, so the text is the
-    bytes ``csv.writer`` writes for these rows."""
+    ``repr`` once (``-0.0`` and ``0.0`` stay apart), the texts fill one
+    object table, and its rows are joined by ``","`` and the lines by
+    ``"\\r\\n"``.  Header names must be non-empty and need no quoting.  A
+    number's ``repr`` never needs it, so the text is the bytes
+    ``csv.writer`` writes for these rows."""
     if any(not name or set(name) & set(',"\r\n') for name in header):
         raise ValueError(f"header {header!r} holds a name that csv.writer would quote")
-    n = len(columns[0])
-    cells = np.empty((len(columns), n), dtype=object)
+    cells = np.empty((len(columns), len(columns[0])), dtype=object)
     for j, column in enumerate(columns):
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
         cells[j] = np.array(list(map(repr, bits.view(column.dtype).tolist())), dtype=object)[inverse]
-    row = ",".join(["%s"] * len(columns)) + "\r\n"
-    return (",".join(header) + "\r\n" + (row * n) % tuple(cells.T.ravel())).encode("utf-8")
+    return "\r\n".join([",".join(header), *map(",".join, cells.T.tolist()), ""]).encode("utf-8")
 
 
 def write_json(path, doc, indent=None) -> None:

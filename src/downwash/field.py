@@ -206,10 +206,10 @@ def aggregate_merging(snap: FormationSnapshot, p: DownwashParams, m: MergeParams
 
 
 def add_noise(truth: np.ndarray, n: NoiseParams) -> np.ndarray:
-    """Wrench batch (m, 6) plus zero-mean Gaussian measurement noise; row i
-    draws six standard normals from the stream (seed, i), through
-    :func:`~downwash.rng.normal_rows`, so each row's noise depends only on
-    the seed and its index."""
+    """Wrench batch (m, 6) plus zero-mean Gaussian measurement noise: six
+    standard normals per row from :func:`~downwash.rng.normal_rows`, one
+    stream per chunk of rows, so each row's noise depends only on the seed
+    and its index."""
     scale = np.array([n.sigma_force] * 3 + [n.sigma_torque] * 3)
     with np.errstate(over="ignore"):  # a sigma near the float limit gives inf, which save_dataset refuses
         return truth + scale * normal_rows(n.seed, len(truth), 6)

@@ -6,12 +6,10 @@ with two 64-bit words (seed, stream index), which is documented, portable
 and bit-reproducible across platforms; independent stream indices may be
 drawn from in parallel without affecting each other.
 
-Because Philox is counter-based, a stream is fully determined by its key:
-a generator whose key is reset to (seed, i), with the counter at zero and
-the output buffer empty, continues exactly as ``stream(seed, i)`` would
-from its start.  :func:`normal_rows` draws many streams through one
-generator that way; :func:`stream` stays the reference it must match
-bitwise.
+A stream is fully determined by its key, and a draw fills its output in
+order, so a shorter draw is a prefix of a longer one.  :func:`normal_rows`
+keys one stream per chunk of :data:`CHUNK_ROWS` rows, so each row depends
+only on (seed, row index), never on how many rows are drawn.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import hashlib
 import numpy as np
 
 _U64 = 2**64
+CHUNK_ROWS = 4096  # rows of noise per stream key in normal_rows
 
 
 def substream_seed(seed: int, label: str) -> int:
@@ -40,19 +39,15 @@ def stream(seed: int, stream_index: int = 0) -> np.random.Generator:
 
 
 def normal_rows(seed: int, n: int, width: int) -> np.ndarray:
-    """Standard normals (n, width) whose row i is, bitwise,
-    ``stream(seed, i).standard_normal(width)``.
+    """Standard normals (n, width) drawn chunk by chunk: rows [cC, (c+1)C),
+    C = :data:`CHUNK_ROWS`, are bitwise the first rows of
+    ``stream(seed, c).standard_normal((C, width))``.
 
-    One Philox generator is re-keyed per row instead of building a new one:
-    the state of a fresh generator (zero counter, empty buffer) is taken
-    once and only its key changes from row to row.
+    Only the rows that exist are drawn; as a shorter draw is a prefix of a
+    longer one, ``normal_rows(seed, m, width)`` is the first m rows of
+    ``normal_rows(seed, n, width)`` for every m <= n.
     """
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
     out = np.empty((n, width))
-    for i in range(n):
-        state["state"]["key"] = [seed % _U64, i % _U64]
-        bits.state = state
-        gen.standard_normal(width, out=out[i])
+    for chunk, start in enumerate(range(0, n, CHUNK_ROWS)):
+        stream(seed, chunk).standard_normal(out=out[start : start + CHUNK_ROWS])
     return out

@@ -27,7 +27,7 @@ from downwash.models import (
     load_model,
     save_model,
 )
-from downwash.rng import stream
+from downwash.rng import normal_rows, stream, substream_seed
 
 from conftest import sealed_digest
 
@@ -730,6 +730,17 @@ def test_malformed_dataset_sidecar_is_format_error(tmp_path, capsys, edit, messa
     assert f"{side}: {message}" in capsys.readouterr().err
 
 
+def _first_overflowing_row(seed, rows, sigma_torque):
+    """The first data row (from 1) whose torque noise ``sigma_torque * z`` leaves the float range."""
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(sigma_torque * normal_rows(seed, rows, 6)[:, 3:]).all(axis=1)
+    assert bad.any()
+    return int(np.argmax(bad)) + 1
+
+
+# MINI_CFG's single_k1: seed 21, 8 legs x 20 samples x 2 altitudes
+_OVERFLOW_ROW = _first_overflowing_row(substream_seed(21, "dataset:single_k1"), 320, 1.0e308)
+
 STACK_ONTO_THE_SUFFERER = """
 seed: 3
 output_dir: {out}
@@ -751,7 +762,7 @@ datasets:
             "datasets[1] (stack_k3): data row 8: a neighbour coincides with the sufferer",
             ["single_k1.csv", "single_k1.json"],
         ),
-        (MINI_CFG, ["--set", "noise.sigma_torque=1.0e+308"], "datasets[0] (single_k1): data row 2: non-finite", []),
+        (MINI_CFG, ["--set", "noise.sigma_torque=1.0e+308"], f"datasets[0] (single_k1): data row {_OVERFLOW_ROW}: non-finite", []),
     ],
     ids=["neighbour_on_the_sufferer", "noise_overflows"],
 )

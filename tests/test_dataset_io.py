@@ -267,6 +267,21 @@ def test_encoder_writes_the_csv_writer_bytes_for_any_table(scratch, data, column
     assert sidecar_path(again).read_bytes() == sidecar_path(path).read_bytes()
 
 
+def test_encoder_keeps_dtypes_and_signed_zeros_apart():
+    # the int64 column holds the bit patterns of the float64 column's 0.0, 1.0 and -0.0
+    ints = np.array([0, 4607182418800017408, -9223372036854775808], dtype=np.int64)
+    floats = np.array([0.0, 1.0, -0.0])
+    assert ints.view(np.float64).tobytes() == floats.tobytes()
+    assert encode_table(["i", "f"], [ints, floats]) == (
+        b"i,f\r\n0,0.0\r\n4607182418800017408,1.0\r\n-9223372036854775808,-0.0\r\n"
+    )
+    # -0.0 and 0.0 in different columns of one dtype stay distinct
+    assert encode_table(["a", "b"], [np.array([-0.0, 0.0]), np.array([0.0, -0.0])]) == b"a,b\r\n-0.0,0.0\r\n0.0,-0.0\r\n"
+    # a loss history of `training.epochs: 0` is its header line alone
+    empty = encode_table(["epoch", "loss"], [np.zeros(0, dtype=np.int64), np.zeros(0)])
+    assert empty == b"epoch,loss\r\n"
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A small dataset's CSV and sidecar bytes, and the dataset they load as."""

@@ -157,25 +157,34 @@ def test_add_noise_zero_sigma_is_identity(rng):
     np.testing.assert_array_equal(out, w)
 
 
+CHUNK = 4096  # rows per stream key; a different size changes every dataset's noise bytes
+
+
+def _chunk_reference(seed, n, width=6):
+    """Row i of chunk c = i // CHUNK is row i - c * CHUNK of a fresh
+    ``stream(seed, c)``'s whole-chunk draw (CHUNK, width)."""
+    chunks = [stream(seed, c).standard_normal((CHUNK, width)) for c in range(-(-n // CHUNK))]
+    return np.concatenate(chunks or [np.empty((0, width))])[:n]
+
+
 def test_add_noise_deterministic_per_stream():
     w = np.zeros((3, 6))
     n = NoiseParams(seed=99)
     a = add_noise(w, n)
     assert np.array_equal(a, add_noise(w, n))
     assert not np.array_equal(a, add_noise(w, NoiseParams(seed=100)))
-    # row i draws from the stream (seed, i)
+    # row i draws from chunk i // CHUNK's stream (seed, chunk)
     scale = np.array([n.sigma_force] * 3 + [n.sigma_torque] * 3)
-    for i in range(3):
-        assert np.array_equal(a[i], scale * stream(99, i).standard_normal(6))
+    assert np.array_equal(a, scale * _chunk_reference(99, 3))
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 + 3])
-@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("n", [0, 1, 1000, CHUNK + 1, 9000])
 def test_normal_rows_match_fresh_streams_bitwise(seed, n):
     rows = normal_rows(seed, n, 6)
-    ref = np.array([stream(seed, i).standard_normal(6) for i in range(n)]).reshape(n, 6)
     assert rows.shape == (n, 6)
-    assert rows.tobytes() == ref.tobytes()
+    assert rows.tobytes() == _chunk_reference(seed, n).tobytes()
+    assert rows.tobytes() == normal_rows(seed, 9000, 6)[:n].tobytes()  # a prefix of any longer draw
 
 
 def test_add_noise_statistics():
