@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, altitude_tag, load_config
-from .dataset import FormatError, encode_table, load_dataset, save_dataset, write_atomic
-from .evaluate import benchmark, contour_to_csv, report_planes
+from .config import ConfigError, RunConfig, load_config
+from .dataset import FormatError, encode_table, load_dataset, save_dataset, sidecar_path, write_atomic
+from .evaluate import benchmark, report_planes, write_report
 from .field import make_oracle
 from .formations import generate_sweep
 from .models import DeepSetModel, LinearAggModel, fit_grid, load_model, save_model
@@ -39,26 +41,36 @@ MODEL_NAMES = ("naive_linear", "learnt_linear", "learnt_nonlinear")
 def cmd_gen(cfg: RunConfig) -> list:
     """Generate every configured dataset; returns the CSV paths.  A dataset
     that ``train`` would refuse (a non-finite value, a neighbour on the
-    sufferer) is a ConfigError naming its entry and row, and is not written."""
-    paths = []
-    for i, spec in enumerate(cfg.datasets):
-        noise = dataclasses.replace(cfg.noise, seed=substream_seed(cfg.seed, f"dataset:{spec.name}"))
-        data = generate_sweep(
-            spec.formation,
-            spec.sweep,
-            spec.oracle,
-            cfg.field_params,
-            cfg.merge_params if spec.oracle == "merging" else None,
-            noise,
-        )
-        data.metadata["name"] = spec.name
-        path = cfg.output_dir / "datasets" / f"{spec.name}.csv"
-        try:
-            save_dataset(data, path)
-        except ValueError as exc:  # values that load_dataset would refuse; nothing was written
-            raise ConfigError(f"datasets[{i}] ({spec.name}): {exc}") from None
-        print(f"gen: {spec.name}: {len(data)} records -> {path}")
-        paths.append(path)
+    sufferer) is a ConfigError naming its entry and row.  Each dataset is
+    saved into a staging directory beside the datasets as it is generated,
+    and the files are renamed into place only after the last one is saved,
+    so a refusal leaves the previous run's datasets as they were."""
+    out = cfg.output_dir / "datasets"
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".gen-", dir=out) as staging:
+        sizes = []
+        for i, spec in enumerate(cfg.datasets):
+            noise = dataclasses.replace(cfg.noise, seed=substream_seed(cfg.seed, f"dataset:{spec.name}"))
+            data = generate_sweep(
+                spec.formation,
+                spec.sweep,
+                spec.oracle,
+                cfg.field_params,
+                cfg.merge_params if spec.oracle == "merging" else None,
+                noise,
+            )
+            data.metadata["name"] = spec.name
+            try:
+                save_dataset(data, Path(staging) / f"{spec.name}.csv")
+            except ValueError as exc:  # values that load_dataset would refuse; nothing was written
+                raise ConfigError(f"datasets[{i}] ({spec.name}): {exc}") from None
+            sizes.append(len(data))
+        paths = []
+        for spec, size in zip(cfg.datasets, sizes):
+            paths.append(out / f"{spec.name}.csv")
+            for path in (paths[-1], sidecar_path(paths[-1])):
+                os.replace(Path(staging) / path.name, path)
+            print(f"gen: {spec.name}: {size} records -> {paths[-1]}")
     return paths
 
 
@@ -131,7 +143,6 @@ def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
     """Benchmark all models against the configured oracle; returns report paths."""
     predictors, truth = _predictors(cfg, models_dir)
     report = benchmark(predictors, truth, cfg.evaluation, cfg.sweep.speed)
-    report.config["oracle"] = cfg.evaluation.oracle
     report.config["seed"] = cfg.seed
     out = cfg.output_dir / "reports"
     csv_path = out / "benchmark.csv"
@@ -143,18 +154,12 @@ def cmd_eval(cfg: RunConfig, models_dir: Path | None = None) -> list:
 
 
 def cmd_report(cfg: RunConfig, models_dir: Path | None = None) -> list:
-    """Export plottable slice-profile and contour CSVs."""
+    """Export the slice and contour CSVs of every model and the ground truth,
+    named and written by :func:`downwash.evaluate.write_report`; returns their paths."""
     predictors, truth = _predictors(cfg, models_dir)
     results = report_planes({**predictors, "ground_truth": truth}, cfg.evaluation, cfg.sweep.speed)
     out = cfg.output_dir / "reports"
-    paths = []
-    for (formation, altitude), (profile, axis, grids) in zip(cfg.evaluation.planes(), results):
-        tag = f"{formation.label()}_{altitude_tag(altitude)}"
-        paths.append(out / f"slice_{tag}.csv")
-        profile.to_csv(paths[-1])
-        cpaths = {name: out / f"contour_{tag}_{name}.csv" for name in grids}
-        contour_to_csv(axis, grids, cpaths)
-        paths += cpaths.values()
+    paths = write_report(cfg.evaluation, out, *results)
     print(f"report: {len(paths)} files -> {out}")
     return paths
 

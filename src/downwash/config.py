@@ -7,9 +7,10 @@ beside the code it sizes (the model settings in :mod:`downwash.models`,
 ``RunConfig`` are defined here.  Keys are the field names, defaults are the
 field defaults, and range checks live in each class's ``__post_init__``.
 Unknown keys are rejected with the offending path in the message so typos
-cannot silently change an experiment.  Report files are named from
-``Formation.label()`` and :func:`altitude_tag`, so no two ``eval.formations``
-may share a label and no two ``eval.altitudes`` a tag.  All randomness
+cannot silently change an experiment.  :func:`downwash.evaluate.write_report`
+names the report files from ``Formation.label()`` and
+:func:`downwash.evaluate.altitude_tag`, so no two ``eval.formations`` may
+share a label and no two ``eval.altitudes`` a tag.  All randomness
 derives from the one global seed through named substreams (dataset:<name>,
 init:<model>, train:<model>).
 
@@ -34,10 +35,10 @@ from typing import Literal
 
 import yaml
 
-from .evaluate import EvalSettings
+from .evaluate import EvalSettings, altitude_tag
 from .field import DownwashParams, MergeParams, NoiseParams, Oracle
 from .formations import Formation, SweepConfig
-from .models import DeepSetSettings, LinearSettings, NaiveSettings
+from .models import DeepSetSettings, LinearSettings, NaiveSettings, evenly_spaced
 from .training import TrainConfig
 
 
@@ -180,11 +181,6 @@ class DatasetSpec:
     oracle: Oracle = "merging"
 
 
-def altitude_tag(altitude: float) -> str:
-    """An evaluation altitude as report file names spell it: 1.3 -> ``1p3``."""
-    return f"{altitude:g}".replace(".", "p")
-
-
 @dataclass
 class RunConfig:
     seed: int
@@ -269,6 +265,11 @@ def parse_config(doc: dict) -> RunConfig:
         if spec.name == cfg.naive.fit_on and spec.formation.k != 1:
             raise ConfigError(
                 f"models.naive.fit_on: the grid baseline needs a k=1 dataset, {spec.name!r} has k={spec.formation.k}"
+            )
+        if spec.name == cfg.naive.fit_on and not evenly_spaced(spec.sweep.altitudes):
+            raise ConfigError(
+                "models.naive.fit_on: the grid baseline needs evenly spaced altitudes,"
+                f" {spec.name!r} has {list(spec.sweep.altitudes)}"
             )
     for key, tags in (
         ("formations", [formation.label() for formation in cfg.evaluation.formations]),

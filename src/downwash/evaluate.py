@@ -8,23 +8,22 @@ are reported as not-applicable (NaN) instead of dividing by zero.
 
 Predictors and the truth are *batch callables*: each maps a feature batch
 (m, K, 6) to a wrench batch (m, 6), as ``model.predict_batch`` and the
-functions that :func:`downwash.field.make_oracle` returns do.  The entry
-points are :func:`benchmark`, the error table (:func:`integrated_plane_error`
-is its one-plane case), and :func:`report_planes`, the slices and contours.
-Both take the ``eval`` config section, :class:`EvalSettings`, and the sweep
-speed; :meth:`EvalSettings.planes` sets the order of the error table's rows
-and of the report files.  Each plane is one batch built by
-:func:`downwash.formations.centroid_features`; a report plane holds its slice
-and contour points.  :func:`predict_batches`, the only caller of the
-callables, joins the batches of one neighbour count K, so each stage calls
-each callable once per K.
+functions that :func:`downwash.field.make_oracle` returns do.  Each plane is
+one batch built by :func:`downwash.formations.centroid_features`, and
+:func:`predict_batches`, the only caller of the callables, joins the batches
+of one neighbour count K, so each stage calls each callable once per K.  Both
+entry points take the ``eval`` config section, :class:`EvalSettings`, whose
+:meth:`~EvalSettings.planes` orders the rows and the files, and the sweep speed:
 
-:func:`benchmark` marks each plane's winners where it computes that plane's
-errors: on each axis, the first model with the lowest finite error wins.
+- :func:`benchmark`, the error table, builds each plane's (models x 6) errors
+  and winners as arrays: on each axis, the first model with the lowest finite
+  error wins, and an axis with no finite error has none.
+  :func:`integrated_plane_error` is its one-plane case.  The table is written
+  by :func:`downwash.dataset.write_csv` and :func:`downwash.dataset.write_json`.
+- :func:`report_planes`, the slices and contours, returns plain arrays, and
+  :func:`write_report` alone names their files and encodes each with
+  :func:`downwash.dataset.encode_table`.
 
-Slice and contour files are tables of floats, encoded by
-:func:`downwash.dataset.encode_table`.  The error table goes through
-:func:`downwash.dataset.write_csv` and :func:`downwash.dataset.write_json`.
 Every report file is replaced whole.
 """
 
@@ -42,6 +41,12 @@ from .field import Oracle
 from .formations import Formation, SweepConfig, centroid_features, midpoints
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
+PEAK_PROMINENCE = 0.2  # count_peaks' threshold, as a fraction of the range: criterion 5b's measure
+
+
+def altitude_tag(altitude: float) -> str:
+    """An evaluation altitude as report file names spell it: 1.3 -> ``1p3``."""
+    return f"{altitude:g}".replace(".", "p")
 
 
 @dataclass(frozen=True)
@@ -98,16 +103,6 @@ def predict_batches(callables, batches) -> list:
     return out
 
 
-def _relative_error(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Per-axis sum of |pred - truth| over the sum of |truth|; NaN where the truth is all zero."""
-    err = np.abs(pred - truth).sum(axis=0)
-    ref = np.abs(truth).sum(axis=0)
-    out = np.full(6, np.nan)
-    nonzero = ref > 0.0
-    out[nonzero] = err[nonzero] / ref[nonzero]
-    return out
-
-
 def integrated_plane_error(
     predictor,
     truth,
@@ -128,59 +123,56 @@ def integrated_plane_error(
     return np.array(benchmark({"model": predictor}, truth, ev, speed).rows[0]["errors"])
 
 
-@dataclass
-class SliceProfile:
-    """1-D transect of D-axis forces through the formation centroid."""
-
-    axis: str                      # "n" or "e"
-    positions: np.ndarray
-    columns: dict                  # name -> D-force array
-
-    def to_csv(self, path) -> None:
-        header = [f"{self.axis}_position", *self.columns]
-        write_atomic(path, encode_table(header, [self.positions, *self.columns.values()]))
-
-
-def count_peaks(values: np.ndarray, min_prominence_frac: float = 0.2) -> int:
-    """Number of local maxima with prominence above a fraction of the range."""
+def count_peaks(values: np.ndarray) -> int:
+    """Number of local maxima with prominence above :data:`PEAK_PROMINENCE` of the range."""
     from scipy import signal  # imported here: it pulls in scipy.stats, which no CLI stage needs
 
     values = np.asarray(values, dtype=float)
     spread = float(values.max() - values.min())
     if spread <= 0.0:
         return 0
-    peaks, _ = signal.find_peaks(values, prominence=min_prominence_frac * spread)
+    peaks, _ = signal.find_peaks(values, prominence=PEAK_PROMINENCE * spread)
     return int(len(peaks))
 
 
-def report_planes(callables: dict, ev: EvalSettings, speed: float) -> list:
+def report_planes(callables: dict, ev: EvalSettings, speed: float) -> tuple:
     """D-forces of the named batch callables on each plane of ``ev.planes()``,
-    as (profile, axis, grids): the slice along ``ev.slice_axis`` through the
-    formation centroid, and per name the contour on the error metric's midpoint
-    grid, ``grids[name][i, j]`` at (n, e) = (axis[i], axis[j]).  A plane's slice
-    and contour centroids make one feature batch, and all the batches go
-    through :func:`predict_batches` together."""
+    as ``(positions, axis, planes)``: the slice's points along ``ev.slice_axis``
+    through the formation centroid and the contours' midpoint grid axis, both
+    shared by every plane, and per plane ``(columns, grids)``, where
+    ``columns[name]`` is the slice and ``grids[name][i, j]`` the contour at
+    (n, e) = (axis[i], axis[j]).  A plane's slice and contour centroids make
+    one feature batch, and all go through :func:`predict_batches` together."""
     positions = np.linspace(-ev.extent / 2.0, ev.extent / 2.0, ev.slice_resolution)
     zeros = np.zeros(ev.slice_resolution)
     line = np.stack([positions, zeros] if ev.slice_axis == "n" else [zeros, positions], axis=-1)
     axis, grid = _grid(ev.extent, ev.contour_resolution)
     centroids = np.concatenate([line, grid])
     batches = [centroid_features(formation, centroids, altitude, speed) for formation, altitude in ev.planes()]
-    out = []
+    planes = []
     for results in predict_batches(list(callables.values()), batches):
         forces = dict(zip(callables, (wrench[:, 2] for wrench in results)))
         columns = {name: values[: ev.slice_resolution] for name, values in forces.items()}
         grids = {name: values[ev.slice_resolution :].reshape(axis.size, axis.size) for name, values in forces.items()}
-        out.append((SliceProfile(ev.slice_axis, positions, columns), axis, grids))
-    return out
+        planes.append((columns, grids))
+    return positions, axis, planes
 
 
-def contour_to_csv(axis, grids: dict, paths: dict) -> None:
-    """Write each grid of :func:`report_planes` to ``paths[name]`` as
-    ``n,e,f_d`` rows, n-major."""
+def write_report(ev: EvalSettings, out, positions, axis, planes) -> list:
+    """Write what :func:`report_planes` returns into the directory ``out``, and
+    return the paths: per plane of ``ev.planes()``, tagged ``<label>_<altitude_tag>``,
+    ``slice_<tag>.csv`` (``<slice_axis>_position`` and one column per name),
+    then per name ``contour_<tag>_<name>.csv`` (``n,e,f_d`` rows, n-major)."""
     n, e = (coords.ravel() for coords in np.meshgrid(axis, axis, indexing="ij"))
-    for name, values in grids.items():
-        write_atomic(paths[name], encode_table(["n", "e", "f_d"], [n, e, np.ravel(values)]))
+    paths = []
+    for (formation, altitude), (columns, grids) in zip(ev.planes(), planes):
+        tag = f"{formation.label()}_{altitude_tag(altitude)}"
+        paths.append(out / f"slice_{tag}.csv")
+        write_atomic(paths[-1], encode_table([f"{ev.slice_axis}_position", *columns], [positions, *columns.values()]))
+        for name, values in grids.items():
+            paths.append(out / f"contour_{tag}_{name}.csv")
+            write_atomic(paths[-1], encode_table(["n", "e", "f_d"], [n, e, np.ravel(values)]))
+    return paths
 
 
 @dataclass
@@ -220,19 +212,21 @@ def benchmark(models: dict, truth, ev: EvalSettings, speed: float) -> EvalReport
     of one K in one call."""
     report = EvalReport(config={"extent": ev.extent, "resolution": ev.resolution, "speed": speed})
     report.config["altitudes"] = [float(a) for a in ev.altitudes]
+    report.config["oracle"] = ev.oracle
     grid = _grid(ev.extent, ev.resolution)[1]
     planes = ev.planes()
     batches = [centroid_features(formation, grid, altitude, speed) for formation, altitude in planes]
     results = predict_batches([*models.values(), truth], batches)
     for (formation, altitude), (*predictions, expected) in zip(planes, results):
+        ref = np.abs(expected).sum(axis=0)
+        err = np.abs(np.stack(predictions) - expected).sum(axis=1)
+        errors = np.divide(err, ref, out=np.full(err.shape, np.nan), where=ref > 0.0)
+        finite = np.isfinite(errors)
+        best = np.argmin(np.where(finite, errors, np.inf), axis=0)
+        wins = (np.arange(len(models))[:, None] == best) & finite.any(axis=0)
         plane = {"formation": formation.label(), "k": formation.k, "altitude": float(altitude)}
-        rows = []
-        for name, prediction in zip(models, predictions):
-            errors = [float(v) for v in _relative_error(prediction, expected)]
-            rows.append({**plane, "model": name, "errors": errors, "wins": [False] * 6})
-        for ax in range(6):
-            finite = [row for row in rows if math.isfinite(row["errors"][ax])]
-            if finite:
-                min(finite, key=lambda row: row["errors"][ax])["wins"][ax] = True
-        report.rows += rows
+        report.rows += [
+            {**plane, "model": name, "errors": row.tolist(), "wins": won.tolist()}
+            for name, row, won in zip(models, errors, wins)
+        ]
     return report

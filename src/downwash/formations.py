@@ -147,8 +147,9 @@ def generate_sweep(
     For each altitude and each leg the formation centroid crosses the
     lateral extent along +E at ``cfg.speed``; legs sit on a uniform N grid.
     Ground truth comes from the chosen oracle; the noisy measurement adds
-    seeded Gaussian noise, with one noise stream index per sample so legs
-    (or samples) may be generated in parallel without changing the result.
+    seeded Gaussian noise drawn by :func:`downwash.rng.normal_rows`, one
+    Philox key per chunk of 4096 rows, so row i's noise depends only on
+    (seed, i).
     Sample order is canonical: altitude, then leg, then sample.
     """
     noise = noise if noise is not None else NoiseParams()

@@ -290,10 +290,18 @@ class GridLookupModel(_Model):
         return self.query(feats[..., :3]).sum(axis=1)
 
 
+def evenly_spaced(values) -> bool:
+    """Whether the distinct ``values``, sorted, have equal gaps to within float rounding."""
+    gaps = np.diff(sorted(set(values)))
+    return gaps.size == 0 or np.ptp(gaps) <= 1e-9 * gaps.max()
+
+
 def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
     """Bin noisy K=1 measurements by relative position into a lookup grid
-    over the volume ``sweep`` explored: ``resolution`` (n, e) cells centred on
-    its legs, and one vertical cell per altitude plane.
+    over the volume ``sweep`` explored: ``resolution`` (n, e) cells across
+    its lateral extent (centred on its legs when ``resolution[0]`` is the leg
+    count), and one vertical cell per altitude plane, so the altitudes must
+    be evenly spaced.
 
     Each cell stores the mean of its samples; empty cells are filled from
     the nearest non-empty cell (physical distance, so anisotropic cells are
@@ -303,6 +311,8 @@ def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
         raise ValueError("cannot fit a grid on an empty dataset")
     if data.k != 1:
         raise ValueError(f"grid fitting needs K=1 records, got K={data.k}")
+    if not evenly_spaced(sweep.altitudes):
+        raise ValueError(f"grid fitting needs evenly spaced altitudes, got {list(sweep.altitudes)}")
 
     half = sweep.lateral_extent / 2.0
     alts = sorted(set(sweep.altitudes))

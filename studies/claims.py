@@ -75,7 +75,7 @@ def run_seed(seed: int) -> dict:
         "phase_s": phases.seconds,
         "d_error": d_error,
         "ratio_5a": {"naive_over_deepset": d_error["naive_linear"] / deep, "linear_over_deepset": d_error["learnt_linear"] / deep},
-        "peaks_5b": {name: count_peaks(col) for name, col in pipeline["profile"].columns.items()},
+        "peaks_5b": {name: count_peaks(col) for name, col in pipeline["profile"].items()},
         "k4_d_error": {name: float(err[2]) for name, err in probe["errors"].items()},
         "k4_errors": {name: [float(x) for x in err[:5]] for name, err in probe["errors"].items()},
         "k4_sum_of_singletons_gap": gap,

@@ -208,7 +208,8 @@ def nonlinear_pipeline_at(seed, phase=lambda name: None):
         name: integrated_plane_error(pred, truth, LF3, 1.3, resolution=64)
         for name, pred in predictors.items()
     }
-    profile = report_planes({**predictors, "ground_truth": truth}, EvalSettings((LF3,)), SweepConfig.speed)[0][0]
+    # the slice columns of the one plane, by name
+    profile = report_planes({**predictors, "ground_truth": truth}, EvalSettings((LF3,)), SweepConfig.speed)[2][0][0]
     phase("evaluation")
     return {
         "errors": errors,
@@ -242,7 +243,7 @@ def test_criterion_5a_nonlinear_error_ordering(nonlinear_pipeline):
 
 def test_criterion_5b_peak_structure(nonlinear_pipeline):
     profile = nonlinear_pipeline["profile"]
-    peaks = {name: count_peaks(col) for name, col in profile.columns.items()}
+    peaks = {name: count_peaks(col) for name, col in profile.items()}
     for name, count in PEAKS_5B.items():
         assert peaks[name] == count, name
     _report("5b", f"slice peak counts {peaks}")
@@ -268,8 +269,8 @@ def test_criterion_7_single_vehicle_column_width():
     altitudes = (0.3, 0.8, 1.3)
     additive = {"additive": make_oracle("additive", P)}
     ev = EvalSettings((K1,), altitudes=altitudes, contour_resolution=128)
-    planes = report_planes(additive, ev, SweepConfig.speed)
-    for altitude, (_, _, grids) in zip(altitudes, planes):
+    planes = report_planes(additive, ev, SweepConfig.speed)[2]
+    for altitude, (_, grids) in zip(altitudes, planes):
         values = grids["additive"]
         cell_area = (2.0 / 128) ** 2
         area = np.count_nonzero(values >= 0.5 * values.max()) * cell_area

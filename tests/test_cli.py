@@ -13,9 +13,9 @@ import pytest
 import downwash
 from downwash import cli
 from downwash.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
-from downwash.config import altitude_tag, load_config
+from downwash.config import load_config
 from downwash.dataset import FORMAT_VERSION, _columns
-from downwash.evaluate import EvalReport, SliceProfile, benchmark, contour_to_csv
+from downwash.evaluate import EvalReport, altitude_tag, benchmark, write_report
 from downwash.field import make_oracle
 from downwash.formations import centroid_features, midpoints
 from downwash.models import (
@@ -243,12 +243,12 @@ def test_eval_and_report_match_a_per_plane_computation(tmp_path, monkeypatch):
             line = np.stack([np.zeros_like(positions), positions], axis=-1)
             feats = centroid_features(formation, line, altitude, speed)
             columns = {name: fn(feats)[:, 2] for name, fn in callables.items()}
-            SliceProfile("e", positions, columns).to_csv(ref / f"slice_{tag}.csv")
             axis = midpoints(ev.extent, ev.contour_resolution)
             n, e = np.meshgrid(axis, axis, indexing="ij")
             feats = centroid_features(formation, np.stack([n.ravel(), e.ravel()], axis=-1), altitude, speed)
             grids = {name: fn(feats)[:, 2].reshape(len(axis), len(axis)) for name, fn in callables.items()}
-            contour_to_csv(axis, grids, {name: ref / f"contour_{tag}_{name}.csv" for name in grids})
+            paths = write_report(one, ref, positions, axis, [(columns, grids)])
+            assert [path.name for path in paths] == [f"slice_{tag}.csv", *(f"contour_{tag}_{name}.csv" for name in grids)]
     table = EvalReport(rows, {**plane.config, "altitudes": list(ev.altitudes), "oracle": ev.oracle, "seed": cfg.seed})
     table.to_csv(ref / "benchmark.csv")
     table.to_json(ref / "benchmark.json")
@@ -323,10 +323,10 @@ def test_diverging_training_exits_4(tmp_path, capsys):
     assert "encoder.W0" in err and "Traceback" not in err, err
 
 
-def _model_files(models) -> dict:
+def _files(directory) -> dict:
     """Each file's bytes and inode: a rewrite with the same bytes still
     replaces the inode (see ``write_atomic``)."""
-    return {path.name: (path.read_bytes(), path.stat().st_ino) for path in models.iterdir()}
+    return {path.name: (path.read_bytes(), path.stat().st_ino) for path in directory.iterdir()}
 
 
 def _cut_k3_by_one_row(out):
@@ -351,13 +351,13 @@ def test_failed_train_keeps_the_previous_models(tmp_path, capsys, damage, overri
     assert main(["gen", *run]) == EXIT_OK
     assert main(["train", *run]) == EXIT_OK
     models = tmp_path / "run" / "models"
-    before = _model_files(models)
+    before = _files(models)
     assert len(before) == 5
     damage(tmp_path / "run")
     capsys.readouterr()
     assert main(["train", *run, *overrides]) == code
     assert message in capsys.readouterr().err
-    assert _model_files(models) == before
+    assert _files(models) == before
 
 
 def test_missing_models_reported_clearly(tmp_path, capsys):
@@ -760,7 +760,7 @@ datasets:
             STACK_ONTO_THE_SUFFERER,
             [],
             "datasets[1] (stack_k3): data row 8: a neighbour coincides with the sufferer",
-            ["single_k1.csv", "single_k1.json"],
+            [],
         ),
         (MINI_CFG, ["--set", "noise.sigma_torque=1.0e+308"], f"datasets[0] (single_k1): data row {_OVERFLOW_ROW}: non-finite", []),
     ],
@@ -774,6 +774,22 @@ def test_gen_refuses_a_dataset_that_train_would_refuse(tmp_path, capsys, text, o
     assert message in capsys.readouterr().err
     datasets = tmp_path / "run" / "datasets"
     assert sorted(path.name for path in datasets.glob("*")) == kept  # no CSV, sidecar or temp file of the refused one
+
+
+def test_refused_gen_keeps_the_previous_datasets(tmp_path, capsys):
+    """``gen`` renames its datasets into place only after the last one is
+    saved, so the refusal of ``stack_k3`` does not rewrite ``single_k1``
+    either, and its staging directory is gone."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(STACK_ONTO_THE_SUFFERER.format(out=tmp_path / "run"), encoding="utf-8")
+    assert main(["gen", "--config", str(cfg), "--set", "sweep.altitudes=[1.0]"]) == EXIT_OK
+    datasets = tmp_path / "run" / "datasets"
+    before = _files(datasets)
+    assert sorted(before) == ["single_k1.csv", "single_k1.json", "stack_k3.csv", "stack_k3.json"]
+    capsys.readouterr()
+    assert main(["gen", "--config", str(cfg), "--set", "sweep.altitudes=[0.5]"]) == EXIT_CONFIG
+    assert "datasets[1] (stack_k3): data row 8" in capsys.readouterr().err
+    assert _files(datasets) == before
 
 
 def test_nan_dataset_cell_is_format_error(tmp_path, capsys):

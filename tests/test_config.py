@@ -236,6 +236,22 @@ def test_grid_baseline_must_fit_on_a_k1_dataset():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("altitudes, even", [([0.3, 0.5, 1.3], False), ([0.3, 0.8, 1.3], True), ([0.2, 0.4, 0.6, 0.8], True)])
+def test_grid_baseline_needs_evenly_spaced_altitudes(altitudes, even):
+    """The grid has one vertical cell per altitude plane, all of one height."""
+    doc = {
+        "datasets": [{"name": "x", "kind": "side_by_side", "k": 1, "altitudes": altitudes}],
+        "models": {"naive": {"fit_on": "x"}},
+    }
+    if even:
+        assert parse_config(doc).datasets[0].sweep.altitudes == tuple(altitudes)
+    else:
+        message = "models.naive.fit_on: the grid baseline needs evenly spaced altitudes, 'x' has [0.3, 0.5, 1.3]"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(doc)
+        assert str(caught.value) == message
+
+
 @pytest.mark.parametrize(
     "override, path",
     [

@@ -1,22 +1,26 @@
 import csv
 import dataclasses
 import io
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from downwash.evaluate import (
+    PEAK_PROMINENCE,
     EvalReport,
     EvalSettings,
-    SliceProfile,
+    altitude_tag,
     benchmark,
-    contour_to_csv,
     count_peaks,
     integrated_plane_error,
     predict_batches,
     report_planes,
+    write_report,
 )
 from downwash.field import DownwashParams, MergeParams, NoiseParams, make_oracle
 from downwash.formations import Formation, FormationKind, SweepConfig, centroid_features, generate_sweep
@@ -84,52 +88,61 @@ def test_metric_stable_under_resolution_refinement():
         assert abs(coarse[ax] - fine[ax]) / fine[ax] < 0.02
 
 
+def slice_of(report, name="ground_truth"):
+    """The first plane's slice column ``name`` of a :func:`report_planes` result."""
+    return report[2][0][0][name]
+
+
 def test_slice_profile_three_additive_peaks_half_metre_apart():
-    prof = report_planes({"ground_truth": ADD}, ev(LF3, 0.3, slice_resolution=401), SPEED)[0][0]
-    truth = prof.columns["ground_truth"]
+    report = report_planes({"ground_truth": ADD}, ev(LF3, 0.3, slice_resolution=401), SPEED)
+    truth = slice_of(report)
     assert count_peaks(truth) == 3
-    peaks, _ = signal.find_peaks(truth, prominence=0.2 * (truth.max() - truth.min()))
-    gaps = np.diff(prof.positions[peaks])
+    peaks, _ = signal.find_peaks(truth, prominence=PEAK_PROMINENCE * (truth.max() - truth.min()))
+    gaps = np.diff(report[0][peaks])
     np.testing.assert_allclose(gaps, 0.5, atol=0.02)
 
 
 def test_slice_profile_single_vehicle_peak_centres_on_neighbour():
-    prof = report_planes({"ground_truth": ADD}, ev(K1, 0.8, slice_resolution=401), SPEED)[0][0]
-    truth = prof.columns["ground_truth"]
+    report = report_planes({"ground_truth": ADD}, ev(K1, 0.8, slice_resolution=401), SPEED)
+    truth = slice_of(report)
     assert count_peaks(truth) == 1
-    assert abs(prof.positions[int(np.argmax(truth))]) < 0.01
+    assert abs(report[0][int(np.argmax(truth))]) < 0.01
 
 
 def test_slice_profile_merging_merges_peaks_at_altitude():
-    prof = report_planes({"ground_truth": MER}, ev(LF3, 1.3, slice_resolution=401), SPEED)[0][0]
-    assert count_peaks(prof.columns["ground_truth"]) < 3
+    report = report_planes({"ground_truth": MER}, ev(LF3, 1.3, slice_resolution=401), SPEED)
+    assert count_peaks(slice_of(report)) < 3
 
 
 def test_slice_profile_includes_model_columns(tmp_path):
-    prof = report_planes({"zero": zero_predictor, "ground_truth": ADD}, ev(K1, 0.8, slice_resolution=21), SPEED)[0][0]
-    assert list(prof.columns) == ["zero", "ground_truth"]
-    assert np.all(prof.columns["zero"] == 0.0)
-    out = tmp_path / "slice.csv"
-    prof.to_csv(out)
+    one = ev(K1, 0.8, slice_resolution=21)
+    report = report_planes({"zero": zero_predictor, "ground_truth": ADD}, one, SPEED)
+    columns = report[2][0][0]
+    assert list(columns) == ["zero", "ground_truth"]
+    assert np.all(columns["zero"] == 0.0)
+    out = write_report(one, tmp_path, *report)[0]
+    assert out.name == "slice_side_by_side_k1_0p8.csv"
     header = out.read_text().splitlines()[0]
     assert header == "e_position,zero,ground_truth"
 
 
 def test_contour_symmetric_formation_reflects_in_n():
-    _, _, grids = report_planes({"add": ADD}, ev(SBS2, 0.8, contour_resolution=32), SPEED)[0]
+    grids = report_planes({"add": ADD}, ev(SBS2, 0.8, contour_resolution=32), SPEED)[2][0][1]
     np.testing.assert_allclose(grids["add"], grids["add"][::-1, :], atol=1e-9)
 
 
 def test_contour_additive_support_exceeds_merging():
-    _, _, grids = report_planes({"add": ADD, "mer": MER}, ev(LF3, 1.3, contour_resolution=48), SPEED)[0]
+    grids = report_planes({"add": ADD, "mer": MER}, ev(LF3, 1.3, contour_resolution=48), SPEED)[2][0][1]
     assert support_count(grids["add"]) > support_count(grids["mer"])
 
 
 def test_contour_zero_predictor_all_zero(tmp_path):
-    _, axis, grids = report_planes({"zero": zero_predictor}, ev(LF3, 1.3, contour_resolution=16), SPEED)[0]
-    assert np.all(grids["zero"] == 0.0)
-    contour_to_csv(axis, grids, {"zero": tmp_path / "c.csv"})
-    assert (tmp_path / "c.csv").read_text().splitlines()[0] == "n,e,f_d"
+    one = ev(LF3, 1.3, contour_resolution=16)
+    report = report_planes({"zero": zero_predictor}, one, SPEED)
+    assert np.all(report[2][0][1]["zero"] == 0.0)
+    contour = write_report(one, tmp_path, *report)[1]
+    assert contour.name == "contour_leader_follower_k3_1p3_zero.csv"
+    assert contour.read_text().splitlines()[0] == "n,e,f_d"
 
 
 def test_contour_grid_passes_one_batch_to_each_callable_once():
@@ -140,15 +153,15 @@ def test_contour_grid_passes_one_batch_to_each_callable_once():
         return MER(feats)
 
     callables = {"a": recording, "b": recording, "zero": zero_predictor}
-    profile, axis, grids = report_planes(callables, ev(LF3, 1.3, contour_resolution=12), SPEED)[0]
+    _, axis, [(columns, grids)] = report_planes(callables, ev(LF3, 1.3, contour_resolution=12), SPEED)
     # one batch: the plane's 201 slice rows, then its 12 x 12 contour rows
     assert len(batches) == 2 and batches[0] is batches[1] and batches[0].shape == (201 + 144, 3, 6)
-    assert list(grids) == ["a", "b", "zero"] and list(profile.columns) == ["a", "b", "zero"]
+    assert list(grids) == ["a", "b", "zero"] and list(columns) == ["a", "b", "zero"]
     forces = MER(batches[0])[:, 2]
-    np.testing.assert_array_equal(profile.columns["a"], forces[:201])
+    np.testing.assert_array_equal(columns["a"], forces[:201])
     np.testing.assert_array_equal(grids["a"], forces[201:].reshape(12, 12))
     np.testing.assert_array_equal(grids["b"], grids["a"])
-    _, _, alone = report_planes({"mer": MER}, ev(LF3, 1.3, contour_resolution=12), SPEED)[0]
+    alone = report_planes({"mer": MER}, ev(LF3, 1.3, contour_resolution=12), SPEED)[2][0][1]
     np.testing.assert_array_equal(alone["mer"], grids["a"])
     np.testing.assert_array_equal(axis, (np.arange(12) + 0.5) * (2.0 / 12) - 1.0)
 
@@ -216,6 +229,37 @@ def test_benchmark_marks_lower_error_as_winner():
         assert truth_row["wins"][5] is False and zero_row["wins"][5] is False
 
 
+# per-axis offsets from the truth: ties in |offset|, and non-finite errors
+OFFSETS = st.lists(st.sampled_from([0.0, 0.25, -0.25, 0.5, 1.0, math.nan, math.inf]), min_size=6, max_size=6)
+NAN, INF = [math.nan] * 6, [math.inf] * 6
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(OFFSETS, min_size=1, max_size=4))
+@example([[0.5] * 6, [-0.5] * 6, [0.25, 0.0, 1.0, 0.0, math.nan, 0.5]])
+@example([NAN, INF, NAN])
+def test_benchmark_winners_are_the_first_lowest_finite_errors(offsets):
+    """Stubs that predict a constant truth plus constant per-axis offsets have
+    error |offset| / |truth| on each axis, and yaw's truth is all zero; the
+    winners are those of a loop over the rule: per axis, the first model in
+    order with the lowest finite error, and none where no error is finite."""
+    level = np.array([1.0, -2.0, 0.5, 4.0, -1.0, 0.0])
+
+    def constant(row):
+        return lambda feats: np.tile(row, (len(feats), 1))
+
+    models = {f"m{i}": constant(level + np.array(row)) for i, row in enumerate(offsets)}
+    report = benchmark(models, constant(level), ev(LF3, 1.3, resolution=8), SPEED)
+    errors = [row["errors"] for row in report.rows]
+    expected = np.abs(np.array(offsets)[:, :5]) / np.abs(level[:5])
+    np.testing.assert_allclose(np.array(errors)[:, :5], expected, rtol=1e-12)
+    assert all(math.isnan(row[5]) for row in errors)
+    for ax in range(6):
+        finite = [i for i, row in enumerate(errors) if math.isfinite(row[ax])]
+        winner = min(finite, key=lambda i: errors[i][ax]) if finite else None
+        assert [row["wins"][ax] for row in report.rows] == [i == winner for i in range(len(offsets))]
+
+
 def test_report_files_are_deterministic(tmp_path):
     paths = []
     for tag in ("x", "y"):
@@ -235,28 +279,51 @@ def _table(value):
     return EvalReport(rows=[row])
 
 
+def _written(report):
+    """What :func:`write_report` writes of one plane's slice columns and
+    contour grids, at the 0.8 m plane of ``K1``."""
+    return lambda out, v: write_report(ev(K1, 0.8), out, np.zeros(2), np.zeros(2), [report(v)])
+
+
+def _table_to(method):
+    """The error table of :func:`_table` written to ``out / "report"`` by ``method``."""
+
+    def write(out, v):
+        getattr(_table(v), method)(out / "report")
+        return [out / "report"]
+
+    return write
+
+
+# each writes its files into a directory and returns their paths
 REPORT_WRITERS = {
-    "slice_csv": lambda path, v: SliceProfile("e", np.zeros(2), {"ground_truth": np.full(2, v)}).to_csv(path),
-    "contour_csv": lambda path, v: contour_to_csv(np.zeros(2), {"m": np.full((2, 2), v)}, {"m": path}),
-    "table_csv": lambda path, v: _table(v).to_csv(path),
-    "table_json": lambda path, v: _table(v).to_json(path),
+    "slice_csv": _written(lambda v: ({"ground_truth": np.full(2, v)}, {})),
+    "contour_csv": _written(lambda v: ({"ground_truth": np.full(2, v)}, {"m": np.full((2, 2), v)})),
+    "table_csv": _table_to("to_csv"),
+    "table_json": _table_to("to_json"),
 }
 
 
 @pytest.mark.parametrize("write", REPORT_WRITERS.values(), ids=REPORT_WRITERS.keys())
 def test_failed_rename_keeps_the_previous_report(tmp_path, monkeypatch, write):
-    path = tmp_path / "report"
-    write(path, 1.0)
-    before = path.read_bytes()
+    """The rename of the writer's last file fails: that file keeps its bytes,
+    the files before it hold the new ones, and no temp file is left."""
+    new = [path.read_bytes() for path in write(tmp_path / "new", 2.0)]
+    paths = write(tmp_path / "old", 1.0)
+    before = [path.read_bytes() for path in paths]
+    assert before[-1] != new[-1]
+    replace = os.replace
 
     def fail(src, dst):
-        raise OSError("rename failed")
+        if dst == paths[-1]:
+            raise OSError("rename failed")
+        replace(src, dst)
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename failed"):
-        write(path, 2.0)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+        write(tmp_path / "old", 2.0)
+    assert [path.read_bytes() for path in paths] == [*new[:-1], before[-1]]
+    assert sorted(p.name for p in (tmp_path / "old").iterdir()) == sorted(path.name for path in paths)
 
 
 EDGE = [-0.0, 1e-05, 1e16, float("nan"), float("inf"), -float("inf"), 0.1 + 0.2]
@@ -277,8 +344,8 @@ def test_slice_file_is_the_bytes_csv_writer_writes(tmp_path):
         wrenches[:, 2] = np.roll(EDGE, 3)[:rows]
         # a column that is a strided view, as report_planes' wrench[:, 2] is
         columns = {"edge": np.array(EDGE)[:rows], "ground_truth": wrenches[:, 2]}
-        SliceProfile("n", positions, columns).to_csv(tmp_path / "s.csv")
-        body = (tmp_path / "s.csv").read_bytes()
+        [path] = write_report(ev(K1, 0.8, slice_axis="n"), tmp_path, positions, np.zeros(2), [(columns, {})])
+        body = path.read_bytes()
         table = np.column_stack([positions, *columns.values()])
         assert body == _csv_writer_bytes(["n_position", "edge", "ground_truth"], table)
         for cell in (b"-0.0", b"1e-05", b"1e+16", b"nan", b"inf", b"-inf", b"0.30000000000000004"):
@@ -288,8 +355,13 @@ def test_slice_file_is_the_bytes_csv_writer_writes(tmp_path):
 def test_contour_files_are_the_bytes_csv_writer_writes(tmp_path):
     axis = np.array([-0.0, 1e-05, 1e16])
     grids = {"a": np.reshape(EDGE + [2.5, 1e-300], (3, 3)), "b": -np.arange(9.0).reshape(3, 3)}
-    paths = {name: tmp_path / f"{name}.csv" for name in grids}
-    contour_to_csv(axis, grids, paths)
+    written = write_report(ev(K1, 0.8), tmp_path, np.zeros(0), axis, [({}, grids)])
+    paths = dict(zip(grids, written[1:]))
+    assert [path.name for path in written] == [
+        "slice_side_by_side_k1_0p8.csv",
+        "contour_side_by_side_k1_0p8_a.csv",
+        "contour_side_by_side_k1_0p8_b.csv",
+    ]
     n, e = np.meshgrid(axis, axis, indexing="ij")
     for name, values in grids.items():
         table = np.column_stack([n.ravel(), e.ravel(), values.ravel()])
@@ -301,7 +373,7 @@ def test_contour_files_are_the_bytes_csv_writer_writes(tmp_path):
 def test_report_header_that_csv_would_quote_is_refused(tmp_path):
     for name in ("a,b", 'say "x"', "two\nlines", ""):
         with pytest.raises(ValueError, match="quote"):
-            SliceProfile("e", np.zeros(2), {name: np.zeros(2)}).to_csv(tmp_path / "s.csv")
+            write_report(ev(K1, 0.8), tmp_path, np.zeros(2), np.zeros(2), [({name: np.zeros(2)}, {})])
     assert not any(tmp_path.iterdir())
 
 
@@ -309,32 +381,27 @@ def test_count_peaks_flat_signal_is_zero():
     assert count_peaks(np.zeros(50)) == 0
 
 
-def test_n_slice_meets_both_side_by_side_columns():
+def test_n_slice_meets_both_side_by_side_columns(tmp_path):
     """The n slice crosses the pair, one peak under each vehicle 0.25 m either
     side of the centroid; the e slice runs between them and sees one."""
-    profiles = {
-        axis: report_planes({"ground_truth": ADD}, ev(SBS2, 0.3, slice_axis=axis, slice_resolution=401), SPEED)[0][0]
-        for axis in ("n", "e")
-    }
-    across = profiles["n"].columns["ground_truth"]
-    assert profiles["n"].axis == "n" and count_peaks(across) == 2
-    peaks, _ = signal.find_peaks(across, prominence=0.2 * (across.max() - across.min()))
-    np.testing.assert_allclose(profiles["n"].positions[peaks], [-0.25, 0.25], atol=0.02)
-    assert count_peaks(profiles["e"].columns["ground_truth"]) == 1
+    planes = {axis: ev(SBS2, 0.3, slice_axis=axis, slice_resolution=401) for axis in ("n", "e")}
+    reports = {axis: report_planes({"ground_truth": ADD}, one, SPEED) for axis, one in planes.items()}
+    across = slice_of(reports["n"])
+    assert count_peaks(across) == 2
+    assert write_report(planes["n"], tmp_path, *reports["n"])[0].read_text().startswith("n_position,ground_truth\n")
+    peaks, _ = signal.find_peaks(across, prominence=PEAK_PROMINENCE * (across.max() - across.min()))
+    np.testing.assert_allclose(reports["n"][0][peaks], [-0.25, 0.25], atol=0.02)
+    assert count_peaks(slice_of(reports["e"])) == 1
     with pytest.raises(ValueError, match="'x'"):
         ev(SBS2, 0.3, slice_axis="x")
 
 
-def _entry_bytes(entry):
-    """A :func:`report_planes` entry as bytes, for bitwise comparison."""
-    profile, axis, grids = entry
-    columns = [(name, values.tobytes()) for name, values in profile.columns.items()]
-    return [profile.axis, profile.positions.tobytes(), axis.tobytes(), columns] + [
-        (name, values.tobytes()) for name, values in grids.items()
-    ]
+def _plane_bytes(plane):
+    """One plane of a :func:`report_planes` result as bytes, for bitwise comparison."""
+    return [[(name, values.tobytes()) for name, values in part.items()] for part in plane]
 
 
-def test_planes_set_the_order_of_the_table_and_the_report():
+def test_planes_set_the_order_of_the_table_and_the_report(tmp_path):
     """Two formations of different K at two altitudes: ``predict_batches``
     groups the planes by K, and both stages still follow ``planes()``, each
     plane bitwise as it comes out alone."""
@@ -353,8 +420,15 @@ def test_planes_set_the_order_of_the_table_and_the_report():
             alone = integrated_plane_error(fn, MER, formation, altitude, resolution=16)
             assert np.array(next(rows)["errors"]).tobytes() == alone.tobytes()
     callables = {**models, "ground_truth": MER}
-    entries = report_planes(callables, settings, SPEED)
+    positions, axis, entries = report_planes(callables, settings, SPEED)
     assert len(entries) == len(planes)
     for (formation, altitude), entry in zip(planes, entries):
         one = dataclasses.replace(settings, formations=(formation,), altitudes=(altitude,))
-        assert _entry_bytes(entry) == _entry_bytes(report_planes(callables, one, SPEED)[0])
+        alone = report_planes(callables, one, SPEED)
+        assert alone[0].tobytes() == positions.tobytes() and alone[1].tobytes() == axis.tobytes()
+        assert _plane_bytes(entry) == _plane_bytes(alone[2][0])
+    paths = write_report(settings, tmp_path, positions, axis, entries)
+    tags = [f"{formation.label()}_{altitude_tag(altitude)}" for formation, altitude in planes]
+    assert [path.name for path in paths] == [
+        name for tag in tags for name in [f"slice_{tag}.csv", *(f"contour_{tag}_{n}.csv" for n in callables)]
+    ]

@@ -307,6 +307,13 @@ def test_fit_grid_rejects_wrong_k_and_empty():
         fit_grid(data, SweepConfig(), (4, 4))
 
 
+def test_fit_grid_rejects_unevenly_spaced_altitudes():
+    data = _k1_arrays([0.0, 0.0, -0.5], [np.full(6, 1.0)])
+    with pytest.raises(ValueError, match=r"evenly spaced altitudes, got \[0\.3, 0\.5, 1\.3\]"):
+        fit_grid(data, SweepConfig(altitudes=(0.3, 0.5, 1.3)), (4, 4))
+    assert fit_grid(data, SweepConfig(altitudes=(0.2, 0.4, 0.6, 0.8)), (4, 4)).values.shape[2] == 4
+
+
 def test_fit_grid_noiseless_matches_oracle_on_support():
     sweep = SweepConfig(legs=24, samples_per_leg=120, altitudes=(0.3, 0.8))
     k1 = Formation(FormationKind.SIDE_BY_SIDE, 1)
