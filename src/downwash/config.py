@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import os
 import reprlib
 import sys
 import typing
@@ -179,6 +180,11 @@ class DatasetSpec:
     formation: Formation
     sweep: SweepConfig
     oracle: Oracle = "merging"
+
+    def __post_init__(self):
+        # the name is the basename of the dataset's files under <output_dir>/datasets
+        if not self.name or any(sep in self.name for sep in ("/", os.sep, os.altsep) if sep):
+            raise ValueError(f"name: {self.name!r} is not a file name; it must be non-empty and hold no path separator")
 
 
 @dataclass

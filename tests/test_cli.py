@@ -792,6 +792,26 @@ def test_refused_gen_keeps_the_previous_datasets(tmp_path, capsys):
     assert _files(datasets) == before
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/name", ""], ids=["parent_dir", "sub_dir", "empty"])
+def test_dataset_name_with_a_path_is_config_error(tmp_path, capsys, name):
+    """A dataset name is a file name under ``datasets/``: one that climbs
+    out of ``gen``'s staging directory, or names a subdirectory or nothing,
+    exits 2 in every command before ``gen`` writes or stages any file."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(STACK_ONTO_THE_SUFFERER.format(out=tmp_path / "run"), encoding="utf-8")
+    assert main(["gen", "--config", str(cfg), "--set", "sweep.altitudes=[1.0]"]) == EXIT_OK
+    datasets = tmp_path / "run" / "datasets"
+    before, run_before = _files(datasets), sorted(path.name for path in (tmp_path / "run").iterdir())
+    capsys.readouterr()
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("name: stack_k3", f"name: {json.dumps(name)}"), encoding="utf-8")
+    for command in ("gen", "train", "eval", "report"):
+        assert main([command, "--config", str(cfg), "--set", "sweep.altitudes=[1.0]"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"datasets[1].name: {name!r} is not a file name" in err, err
+    assert _files(datasets) == before  # no new file, no .gen-* staging directory
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == run_before
+
+
 def test_nan_dataset_cell_is_format_error(tmp_path, capsys):
     def nan_cell(rows):
         rows[6][_columns(1).index("gt_t_roll")] = "nan"  # a truth cell of data row 7

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -423,3 +424,110 @@ def test_sidecar_digest_covers_the_metadata(scratch, saved):
     loaded = load_dataset(path)
     assert _same_arrays(loaded, original) and loaded.metadata == doc["metadata"]
 
+
+def _outcome(path):
+    """The dataset ``load_dataset`` reads from ``path``, or its refusal's text."""
+    try:
+        return load_dataset(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _cell(blob, n, token):
+    """The cell after comma ``n`` replaced by ``token``."""
+    at = _nth(blob, b",", n) + 1
+    end = min(i for i in (blob.find(b",", at), blob.find(b"\r", at)) if i >= 0)
+    return blob[:at] + token + blob[end:]
+
+
+def _line(blob, n, text):
+    """``text`` and a ``\\r\\n`` inserted after line ``n`` (modulo the
+    lines; line 0 is the column row)."""
+    at = _nth(blob, b"\r\n", n) + 2
+    return blob[:at] + text + b"\r\n" + blob[at:]
+
+
+# tokens on which numpy's parser and ``float`` might part, and random text
+# over the bytes of a data row
+_TOKENS = [b"1_0", b" 1.5", b"1.5 ", b"1e400", b"-1e400", b"5e-324", b"-0.0", b"+1.5", b"1.", b".5", b"", b"1e",
+           b"--1", b"nan", b"inf", b"1e+5", b"1E5", b"0x1", b"1\n", b"1\r", b"\t1"]
+_cells = st.tuples(
+    st.integers(0, 10**3),
+    st.one_of(st.sampled_from(_TOKENS), st.text("0123456789.e+-", max_size=8).map(str.encode)),
+).map(lambda a: lambda blob: _cell(blob, *a))
+
+
+@FUZZ
+@given(st.one_of(_truncations, _flips, _csv_syntax, _cells))
+@example(lambda blob: _cell(blob, 3, b"1_0"))
+@example(lambda blob: _cell(blob, 3, b" 1.5"))
+@example(lambda blob: _cell(blob, 3, b"1.5 "))
+@example(lambda blob: _cell(blob, 3, b"1e400"))
+@example(lambda blob: _cell(blob, 3, b"-1e400"))
+@example(lambda blob: _cell(blob, 3, b"5e-324"))
+@example(lambda blob: _cell(blob, 3, b"-0.0"))
+@example(lambda blob: _cell(blob, 3, b"+1.5"))
+@example(lambda blob: _cell(blob, 3, b"1."))
+@example(lambda blob: _cell(blob, 3, b".5"))
+@example(lambda blob: _cell(blob, 3, b""))
+@example(lambda blob: _cell(blob, 3, b"1e"))
+@example(lambda blob: _cell(blob, 3, b"--1"))
+@example(lambda blob: _cell(blob, 3, b"nan"))
+@example(lambda blob: _cell(blob, 3, b"inf"))
+@example(lambda blob: _line(blob, 4, b""))  # a blank line
+@example(lambda blob: _line(blob, 4, b"#" + blob.split(b"\r\n")[1]))  # "#" and a copy of data row 1
+@example(lambda blob: _lf_endings(blob, 4))  # a bare "\n" ends data row 4
+@example(lambda blob: _cell(blob, 3, b"1\r5"))  # a lone "\r"
+# a bare "\n" inside one "\r\n" line and a blank line: numpy reads as many
+# full-width rows as the "\r\n" lines, but the rows are not the lines
+@example(lambda blob: _line(_lf_endings(blob, 4), 7, b""))
+@example(lambda blob: blob)
+def test_numpy_reader_and_row_reader_agree_on_any_table(scratch, saved, damage):
+    """Damaged datasets, their digest resealed so the reader itself decides,
+    load to bitwise the same arrays or the same FormatError text with numpy's
+    reader and with the row-by-row reader alone, which ``np.loadtxt``
+    raising (as it does on text it refuses) leaves."""
+    blob, side, _ = saved
+    damaged = damage(blob)
+    doc = json.loads(side)
+    doc["sha256"] = sealed_digest(doc["metadata"], damaged)
+    path = scratch / "parity.csv"
+    path.write_bytes(damaged)
+    sidecar_path(path).write_text(json.dumps(doc), encoding="utf-8")
+    fast = _outcome(path)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+        slow = _outcome(path)
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert _same_arrays(fast, slow) and fast.metadata == slow.metadata
+
+
+def test_a_table_longer_than_a_loadtxt_chunk_reads_alike(tmp_path):
+    """``np.loadtxt`` reads its input 50 000 rows at a time; a 50 001-row
+    table, its cells drawn from 4096 values spread over the float range,
+    loads bitwise alike on both readers, and numpy's reader is the one that
+    read it."""
+    rng = np.random.default_rng(28)
+    n, width = 50_001, len(_columns(1))
+    pool = rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 300, 4096)
+    table = pool[rng.integers(0, len(pool), (n, width))]
+    table[:, 3] = -np.abs(table[:, 3])  # the sufferer's pos_d <= 0 and the neighbour's >= 1
+    table[:, 10] = 1.0 + np.abs(table[:, 10]) % 1e300
+    table[:5, 0] = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+    data = Dataset(table[:, 0], table[:, 1:15].reshape(n, 2, 7), table[:, 15:21], table[:, 21:], {"name": "long"})
+    path = tmp_path / "long.csv"
+    save_dataset(data, path)
+    real, shapes = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        values = real(*args, **kwargs)
+        shapes.append(values.shape)
+        return values
+
+    with mock.patch.object(np, "loadtxt", spy):
+        fast = load_dataset(path)
+    assert shapes == [(n, width)]
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+        slow = load_dataset(path)
+    assert _same_arrays(fast, data) and _same_arrays(slow, data)
