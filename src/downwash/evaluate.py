@@ -41,7 +41,7 @@ from .field import Oracle
 from .formations import Formation, SweepConfig, centroid_features, midpoints
 
 AXIS_LABELS = ("N", "E", "D", "Pitch", "Roll", "Yaw")
-PEAK_PROMINENCE = 0.2  # count_peaks' threshold, as a fraction of the range: criterion 5b's measure
+PEAK_PROMINENCE = 0.2  # peak_indices' least prominence, as a fraction of the range: criterion 5b's measure
 
 
 def altitude_tag(altitude: float) -> str:
@@ -123,16 +123,37 @@ def integrated_plane_error(
     return np.array(benchmark({"model": predictor}, truth, ev, speed).rows[0]["errors"])
 
 
-def count_peaks(values: np.ndarray) -> int:
-    """Number of local maxima with prominence above :data:`PEAK_PROMINENCE` of the range."""
-    from scipy import signal  # imported here: it pulls in scipy.stats, which no CLI stage needs
+def peak_indices(values: np.ndarray) -> np.ndarray:
+    """Ascending indices of the local maxima whose prominence is at least
+    :data:`PEAK_PROMINENCE` of the range: the peaks of
+    ``scipy.signal.find_peaks(values, prominence=PEAK_PROMINENCE * spread)``.
 
-    values = np.asarray(values, dtype=float)
-    spread = float(values.max() - values.min())
-    if spread <= 0.0:
-        return 0
-    peaks, _ = signal.find_peaks(values, prominence=PEAK_PROMINENCE * spread)
-    return int(len(peaks))
+    A maximum is a run of equal values (a plateau) with a strictly lower
+    neighbour on each side, so a run touching either end of the array is none;
+    it sits at the run's middle index ``(left + right) // 2``.  Each base search
+    walks outward from the peak while values stay ``<=`` the peak's (a higher
+    value, a NaN or the array's end stops it), and the prominence is the peak
+    minus the higher of the two sides' minima."""
+    x = np.asarray(values, dtype=float)
+    spread = x.max() - x.min()
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], len(x)] - 1
+    inner = (starts > 0) & (ends < len(x) - 1)
+    left, right = starts[inner], ends[inner]
+    tops = ((left + right) // 2)[(x[left - 1] < x[left]) & (x[right + 1] < x[left])]
+    kept = []
+    for top in tops:
+        stops = np.r_[-1, np.flatnonzero(~(x <= x[top])), len(x)]
+        i = np.searchsorted(stops, top)
+        lo, hi = stops[i - 1] + 1, stops[i]
+        if x[top] - max(x[lo : top + 1].min(), x[top:hi].min()) >= PEAK_PROMINENCE * spread:
+            kept.append(top)
+    return np.array(kept, dtype=np.intp)
+
+
+def count_peaks(values: np.ndarray) -> int:
+    """Number of :func:`peak_indices`: criterion 5b's measure."""
+    return len(peak_indices(values))
 
 
 def report_planes(callables: dict, ev: EvalSettings, speed: float) -> tuple:
