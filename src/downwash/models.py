@@ -2,7 +2,10 @@
 
 * ``GridLookupModel`` — the naive baseline: a trilinear lookup table binned
   from single-neighbour measurements over the volume their sweep explored,
-  queried once per neighbour and summed.
+  queried once per neighbour and summed.  An empty cell takes the values of
+  its nearest filled cell in physical distance, chosen among equally near
+  cells as ``scipy.ndimage.distance_transform_edt`` chooses, by a numpy
+  search along one axis at a time (see :func:`fit_grid`).
 * ``LinearAggModel`` — a learnt per-neighbour network whose outputs are
   summed, so it is additive by construction.
 * ``DeepSetModel`` — a permutation-invariant set network: per-neighbour
@@ -64,6 +67,7 @@ from .mlp import Mlp, Workspace, parameter_count
 
 FEATURE_DIM = 6  # relative position (3) + relative velocity (3)
 MODEL_FORMAT_VERSION = 2
+FILL_BLOCK = 1 << 18  # most (cell, candidate) distances one pass of _nearest_filled holds at once
 
 
 def _require_sizes(settings, *names: str) -> None:
@@ -296,6 +300,41 @@ def evenly_spaced(values) -> bool:
     return gaps.size == 0 or np.ptp(gaps) <= 1e-9 * gaps.max()
 
 
+def _nearest_filled(filled: np.ndarray, cell) -> np.ndarray:
+    """Index arrays (ndim, *shape) of each cell's nearest ``filled`` cell: the
+    separable feature transform (Maurer, Qi and Raghavan, IEEE TPAMI 2003)
+    whose result ``scipy.ndimage.distance_transform_edt(~filled,
+    sampling=cell, return_indices=True)`` returns.
+
+    Pass d runs along axis d.  A line position offers the nearest filled cell
+    f that the earlier passes gave it, if any; each cell x on the line takes
+    the offer with the least ``sum(((f_j - x_j) * cell_j)**2)``, accumulated
+    from 0.0 over j = 0, 1, ... in order with the integer difference cast to
+    float first, as scipy's C code does, and the lowest line position on a
+    tie.  A cell on a line that offers nothing stays without a cell (at
+    infinite distance) until a later pass.  A pass holds at most
+    ``FILL_BLOCK`` (cell, offer) distances at a time.
+    """
+    nearest = np.indices(filled.shape)
+    dist = np.where(filled, 0.0, np.inf)  # each cell's squared distance to its offer, over the axes searched
+    for d, n in enumerate(filled.shape):
+        lines = np.moveaxis(dist, d, -1)
+        offers = lines.reshape(-1, n)
+        choice, best = np.empty(offers.shape, dtype=np.intp), np.empty(offers.shape)
+        rows, cols = max(1, FILL_BLOCK // (n * n)), min(n, max(1, FILL_BLOCK // n))
+        gap = np.arange(n)
+        for b in range(0, n, cols):
+            along = ((gap - gap[b : b + cols, None]) * cell[d]) ** 2  # indexed [x_d - b, f_d]
+            for a in range(0, len(offers), rows):
+                block = offers[a : a + rows, None] + along
+                choice[a : a + rows, b : b + cols] = block.argmin(axis=-1)
+                best[a : a + rows, b : b + cols] = block.min(axis=-1)
+        found = np.take_along_axis(np.moveaxis(nearest, d + 1, -1), choice.reshape(lines.shape)[None], axis=-1)
+        nearest = np.moveaxis(found, -1, d + 1)
+        dist = np.moveaxis(best.reshape(lines.shape), -1, d)
+    return nearest
+
+
 def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
     """Bin noisy K=1 measurements by relative position into a lookup grid
     over the volume ``sweep`` explored: ``resolution`` (n, e) cells across
@@ -303,9 +342,14 @@ def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
     count), and one vertical cell per altitude plane, so the altitudes must
     be evenly spaced.
 
-    Each cell stores the mean of its samples; empty cells are filled from
-    the nearest non-empty cell (physical distance, so anisotropic cells are
-    handled correctly).
+    Each cell stores the mean of its samples; each empty cell takes the
+    values of the nearest filled cell in physical distance (so anisotropic
+    cells are handled correctly).  :func:`_nearest_filled` finds it one axis
+    at a time (n, then e, then d): along each axis a cell takes the nearest
+    of the candidates the earlier passes left on its line, the lowest line
+    index on a tie.  The chosen cells are, index for index, those of
+    ``scipy.ndimage.distance_transform_edt(~filled, sampling=cell,
+    return_indices=True)``.
     """
     if len(data) == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
@@ -337,10 +381,7 @@ def fit_grid(data: Dataset, sweep: SweepConfig, resolution) -> GridLookupModel:
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0).reshape(shape + (6,))
     filled = counts.reshape(shape) > 0
     if not filled.all():
-        from scipy import ndimage  # imported here: only grid fitting needs it
-
-        _, nearest = ndimage.distance_transform_edt(~filled, sampling=cell, return_indices=True)
-        values = values[nearest[0], nearest[1], nearest[2]]
+        values = values[tuple(_nearest_filled(filled, cell))]
 
     metadata = {
         "fitted_from": data.metadata,

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import downwash
-from downwash import cli
+from downwash import cli, models
 from downwash.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 from downwash.config import load_config
-from downwash.dataset import FORMAT_VERSION, _columns
+from downwash.dataset import FORMAT_VERSION, _columns, load_dataset
 from downwash.evaluate import EvalReport, altitude_tag, benchmark, write_report
 from downwash.field import make_oracle
 from downwash.formations import centroid_features, midpoints
@@ -24,6 +24,7 @@ from downwash.models import (
     GridLookupModel,
     LinearAggModel,
     LinearSettings,
+    fit_grid,
     load_model,
     save_model,
 )
@@ -596,6 +597,42 @@ def test_cli_import_loads_no_scipy():
         timeout=120,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_pipeline_loads_no_scipy(tmp_path, monkeypatch):
+    """The four stages, on a 2-leg config whose naive grid has empty cells,
+    leave no scipy module loaded in a fresh interpreter: the grid's fill
+    is numpy alone."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINI_CFG.replace("legs: 8,", "legs: 2,").format(out=tmp_path / "run"), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from downwash.cli import main\n"
+        f"print([main([stage, '--config', {str(cfg)!r}]) for stage in ('gen', 'train', 'eval', 'report')])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(downwash.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    assert done.stdout.splitlines()[-2:] == [str([EXIT_OK] * 4), "[]"]
+
+    masks = []
+    fill = models._nearest_filled
+    monkeypatch.setattr(models, "_nearest_filled", lambda filled, cell: masks.append(filled) or fill(filled, cell))
+    run = load_config(cfg)
+    grid = fit_grid(
+        load_dataset(tmp_path / "run" / "datasets" / "single_k1.csv"),
+        run.dataset_spec("single_k1", "models.naive.fit_on").sweep,
+        run.naive.resolution,
+    )
+    assert len(masks) == 1 and 0 < masks[0].sum() < masks[0].size
+    assert load_model(tmp_path / "run" / "models" / "naive_linear.json").values.tobytes() == grid.values.tobytes()
 
 
 def _edit_rows(path, edit):

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from downwash.core import relative_features
 from downwash.dataset import Dataset, FormatError
@@ -16,6 +19,7 @@ from downwash.models import (
     GridLookupModel,
     LinearAggModel,
     LinearSettings,
+    _nearest_filled,
     fit_grid,
     load_model,
     save_model,
@@ -222,8 +226,6 @@ def _add_at_grid_values(data, bounds, shape):
     """The fitted table as per-axis binning, ``np.add.at`` scatters and
     per-cell means build it, with empty cells filled from the nearest filled
     one: the reference ``fit_grid`` must match bitwise."""
-    from scipy import ndimage
-
     dpos = data.states[:, 1, :3] - data.states[:, 0, :3]
     sums = np.zeros(shape + (6,))
     counts = np.zeros(shape, dtype=np.int64)
@@ -281,6 +283,61 @@ def test_grid_predict_neighbour_outside_contributes_zero(rng):
     states[2, :3] = 5.0, 0.0, -0.7  # outside
     both, only = relative_features(states[None]), relative_features(states[None, :2])
     np.testing.assert_array_equal(model.predict_batch(both), model.predict_batch(only))
+
+
+WORKLOAD_CELL = (0.125, 0.1, 0.5)  # the benchmark workloads' (16, 20, 3) grid over 2 legs and 3 altitudes
+LATERAL_CELL = 2.0 / 64  # default.yaml's isotropic lateral cell
+QUICK_CELL = (0.125, 0.1, 1.0)  # configs/quick.yaml's grid
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=4),
+    st.one_of(
+        st.sampled_from([WORKLOAD_CELL, (LATERAL_CELL, LATERAL_CELL, 0.5), QUICK_CELL, (1.0, 1.0, 1.0)]),
+        st.tuples(*[st.floats(0.01, 2.0)] * 3),
+    ),
+)
+@example((5, 6, 3), 0.0, 0, [(4, 0, 1), (0, 5, 1)], WORKLOAD_CELL)  # 4 * 0.125 == 5 * 0.1: a 5:4 tie
+@example((16, 20, 3), 0.125, 1234, [(0, 0, 0)], WORKLOAD_CELL)
+@example((6, 6, 1), 0.0, 0, [(3, 4, 0), (5, 0, 0), (0, 5, 0)], (LATERAL_CELL, LATERAL_CELL, 0.5))  # 3-4-5 ties
+@example((9, 11, 2), 0.0, 0, [(8, 0, 0), (0, 10, 0), (0, 0, 1)], QUICK_CELL)  # three axes tie at 1.0
+@example((7, 5, 3), 0.0, 0, [(3, 2, 1)], WORKLOAD_CELL)  # a single filled cell
+@example((4, 5, 3), 1.0, 0, [(0, 0, 0)], WORKLOAD_CELL)  # all filled
+@example((1, 1, 1), 0.0, 0, [(0, 0, 0)], QUICK_CELL)
+@example((1, 12, 1), 0.0, 0, [(0, 5, 0), (0, 9, 0)], QUICK_CELL)
+@example((12, 1, 1), 0.0, 0, [(2, 0, 0)], WORKLOAD_CELL)
+def test_nearest_filled_is_scipys_feature_transform(shape, fraction, seed, cells, cell):
+    """Every cell takes the filled cell that ``distance_transform_edt`` names,
+    ties included: random masks from 1 % to all filled, plus the listed
+    cells (taken modulo the shape), over the configs' cells and random ones."""
+    filled = np.random.default_rng(seed).random(shape) < fraction
+    filled[tuple(np.array(cells).T % np.array(shape)[:, None])] = True
+    _, expected = ndimage.distance_transform_edt(~filled, sampling=cell, return_indices=True)
+    got = _nearest_filled(filled, cell)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_nearest_filled_memory_does_not_grow_with_line_length_squared():
+    """A (256, 256, 3) grid with three filled cells fills as scipy does, and
+    the fill peaks under 32 MB: one pass over all 768 lines at once would
+    hold 768 x 256 x 256 float64 distances (384 MiB)."""
+    filled = np.zeros((256, 256, 3), dtype=bool)
+    filled[[3, 100, 200], [7, 250, 30], [0, 2, 1]] = True
+    cell = (2.0 / 256, 2.0 / 256, 0.5)
+    tracemalloc.start()
+    try:
+        got = _nearest_filled(filled, cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, expected = ndimage.distance_transform_edt(~filled, sampling=cell, return_indices=True)
+    np.testing.assert_array_equal(got, expected)
+    assert peak < 32 << 20
 
 
 def _k1_arrays(dpos, measured):
